@@ -37,6 +37,7 @@ from .angles import (
 from .errors import (
     AngleKitError,
     DomainError,
+    ExactOverflowError,
     MissingUnitError,
     ParseError,
     PoleError,
@@ -120,14 +121,18 @@ def _radius_arg(text: str) -> float:
     return radius
 
 
-def _exact_radius(radius: float) -> ExactScalar:
-    from fractions import Fraction
+def _exact_arc_length(measure: ExactScalar, radius_text: str) -> ExactScalar | None:
+    """measure·radius with the radius read as the decimal it was written as.
 
+    None when the radius has no exact reading (more than 15 significant
+    digits, or a spelling the number grammar does not accept) or when
+    the exact product leaves the 64-bit component range.
+    """
     try:
-        as_fraction = Fraction(radius)
-        return ExactScalar(as_fraction.numerator, as_fraction.denominator)
-    except (OverflowError, ValueError):
-        return ExactScalar.inexact(radius)
+        length = measure * parse_number(radius_text)
+    except (ParseError, ExactOverflowError):
+        return None
+    return length if length.is_exact else None
 
 
 # ----------------------------------------------------------------------
@@ -179,9 +184,9 @@ def _cmd_arc(args) -> int:
     body = format_float(length, args.digits)
     records = [("length", body)]
     human = body
-    exact_total = measure.value * _exact_radius(radius)
-    if exact_total.is_exact:
-        symbolic = exact_total.render(ascii_only=args.ascii)
+    exact_length = _exact_arc_length(measure.value, args.radius)
+    if exact_length is not None:
+        symbolic = exact_length.render(ascii_only=args.ascii)
         human = f"{body} (exactly {symbolic})"
         records.append(("exact", symbolic))
     _emit(args, human, records)

@@ -31,6 +31,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .angles import (
     DEGREE,
@@ -73,6 +74,7 @@ _EXACT_DIGIT_LIMIT = 15
 _MAX_NESTING = 100
 
 _DECIMAL_RE = re.compile(r"\d+(?:\.(\d+))?(?:[eE][+-]?\d+)?")
+_DIGITS_RE = re.compile(r"\d+")
 
 _DMS_RE = re.compile(
     r"\s*(?P<sign>[+-])?(?P<deg>\d+)(?:°|d)"
@@ -129,23 +131,29 @@ def _decimal_to_scalar(text: str, position: int) -> ExactScalar:
     anything whose exact form overflows the 64-bit components, degrades
     to a flagged inexact float.  Values outside float range are errors.
     """
-    mantissa, _, exponent_text = text.partition("e")
-    if "e" not in text:
-        mantissa, _, exponent_text = text.partition("E")
+    mantissa, _, exponent_text = text.replace("E", "e").partition("e")
     int_part, _, frac_part = mantissa.partition(".")
-    significant = (int_part + frac_part.rstrip("0")).lstrip("0").rstrip("0")
-    shift = int(exponent_text) if exponent_text else 0
-    # A shift past ~30 cannot fit the 64-bit exact components anyway, and
-    # computing 10**shift for an absurd exponent must not be attempted.
-    if len(significant) <= _EXACT_DIGIT_LIMIT and abs(shift) <= 30:
-        frac_trimmed = frac_part.rstrip("0")
-        value = Fraction(int(int_part + frac_trimmed or "0"), 10 ** len(frac_trimmed))
-        if shift:
-            value *= Fraction(10) ** shift
-        try:
-            return ExactScalar(value.numerator, value.denominator)
-        except ExactOverflowError:
-            pass
+    frac_part = frac_part.rstrip("0")
+    digits = (int_part + frac_part).lstrip("0")
+    significant = digits.rstrip("0")
+    # Only the significant digits and an exponent of at most two digits
+    # are converted to int, so a literal of any length scans.  Past
+    # 10**±40 a coefficient of at most 15 digits leaves the 64-bit
+    # components, so that power is never built.
+    exponent_digits = exponent_text.lstrip("+-").lstrip("0")
+    if len(significant) <= _EXACT_DIGIT_LIMIT and len(exponent_digits) <= 2:
+        shift = int(exponent_digits or "0")
+        if exponent_text.startswith("-"):
+            shift = -shift
+        power = shift + len(digits) - len(significant) - len(frac_part)
+        if abs(shift) <= 30 and abs(power) <= 40:
+            coefficient = int(significant or "0")
+            try:
+                if power >= 0:
+                    return ExactScalar(coefficient * 10**power)
+                return ExactScalar(coefficient, 10**-power)
+            except ExactOverflowError:
+                pass
     approx = float(text)
     if not math.isfinite(approx):
         raise ParseError("number is outside float range", position)
@@ -201,7 +209,7 @@ def _scan_number(
             return _exact_or_error(numerator, 1, -1, start), True, pi_end
         if text.startswith("(", after):
             j = after + 1
-            dm = re.compile(r"\d+").match(text, j)
+            dm = _DIGITS_RE.match(text, j)
             denominator = 1
             if dm is not None:
                 denominator = int(dm.group())
@@ -228,7 +236,7 @@ def _scan_number(
 
 
 def _scan_posint(text: str, i: int) -> tuple[int, int]:
-    m = re.compile(r"\d+").match(text, i)
+    m = _DIGITS_RE.match(text, i)
     if m is None:
         raise ParseError("expected a positive integer", i)
     value = int(m.group())
@@ -484,17 +492,24 @@ class BinaryOperation(ExpressionNode):
 
 
 def walk(node: ExpressionNode):
-    """Yield node and every descendant, preorder."""
-    yield node
-    if isinstance(node, FunctionApplication):
-        yield from walk(node.argument)
-    elif isinstance(node, BinaryOperation):
-        yield from walk(node.left)
-        yield from walk(node.right)
+    """Yield node and every descendant, preorder.
+
+    An explicit stack keeps the cost linear in the node count and the
+    depth unbounded: sums and products parse left-deep, so a long line
+    is a deep tree.
+    """
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, BinaryOperation):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, FunctionApplication):
+            stack.append(node.argument)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NUMBER WORD UNIT OP END
     text: str
     position: int
@@ -503,6 +518,7 @@ class _Token:
 
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _UNIT_SYMBOLS = ("°", "′", "″")
+_SPACE_RE = re.compile(r"\s+")
 
 
 def _lex(text: str, offset: int) -> list[_Token]:
@@ -511,14 +527,17 @@ def _lex(text: str, offset: int) -> list[_Token]:
     while i < len(text):
         ch = text[i]
         if ch.isspace():
-            i += 1
+            i = _SPACE_RE.match(text, i).end()
             continue
         position = offset + i
         if ch in "+-":
             nxt = i + 1
             sign_opens_number = (
                 nxt < len(text)
-                and (text[nxt].isdigit() or _match_pi(text, nxt) is not None)
+                and (
+                    text[nxt].isdigit()
+                    or (text[nxt] in "pπ" and _match_pi(text, nxt) is not None)
+                )
                 and (
                     not tokens
                     or (tokens[-1].kind == "OP" and tokens[-1].text != ")")
@@ -534,7 +553,7 @@ def _lex(text: str, offset: int) -> list[_Token]:
             tokens.append(_Token("NUMBER", text[i:end], position, value))
             i = end
             continue
-        if ch.isdigit() or _match_pi(text, i) is not None:
+        if ch.isdigit() or (ch in "pπ" and _match_pi(text, i) is not None):
             value, _, end = _scan_number(text, i, allow_slash=False)
             tokens.append(_Token("NUMBER", text[i:end], position, value))
             i = end

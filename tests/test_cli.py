@@ -96,6 +96,23 @@ class TestArcAndChord:
         assert "exactly" not in out
         assert float(out.split()[0]) == pytest.approx(math.pi * 1e300)
 
+    def test_decimal_radius_is_read_as_written(self, run_cli):
+        code, out, err = run_cli("arc", "90°", "0.1", "--format", "records")
+        assert (code, out, err) == (0, "length=0.15707963267948966\nexact=π/20\n", "")
+
+    def test_fractional_measure_with_decimal_radius(self, run_cli):
+        code, out, err = run_cli("arc", "123/360 deg", "0.1")
+        assert (code, err) == (0, "")
+        assert out.endswith(" (exactly 41π/216000)\n")
+        assert float(out.split()[0]) == pytest.approx(123 / 360 * math.pi / 180 * 0.1)
+
+    def test_exact_length_past_the_component_bound_is_left_out(self, run_cli):
+        code, out, err = run_cli("arc", "1/9999991 deg", "0.123456789012345")
+        assert (code, err) == (0, "")
+        assert "exactly" not in out
+        expected = math.pi / 180 / 9999991 * 0.123456789012345
+        assert float(out) == pytest.approx(expected)
+
     def test_zero_radius(self, run_cli):
         code, _, _ = run_cli("arc", "90°", "0")
         assert code == 4
@@ -296,6 +313,14 @@ class TestLint:
         code, out, _ = run_cli("lint", "-")
         assert code == 1
         assert "MISSING-REFERENCE-SYMBOL" in out
+
+    def test_long_line_on_stdin_lints_cleanly(self, run_cli, monkeypatch):
+        import io
+
+        line = "z = " + " + ".join(str(k % 10) for k in range(2000)) + "\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(line))
+        code, out, err = run_cli("lint", "-")
+        assert (code, out, err) == (0, "", "")
 
     def test_missing_file(self, run_cli, tmp_path):
         code, _, err = run_cli("lint", str(tmp_path / "nope.txt"))

@@ -1,5 +1,7 @@
 """Linter rules, declaration tracking, positions, and totality."""
 
+import time
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -143,6 +145,52 @@ class TestStatementsAndSyntax:
     def test_findings_are_value_objects(self):
         f = LintFinding(None, 1, 1, "m", "e")
         assert f == LintFinding(None, 1, 1, "m", "e")
+
+
+def lint_timed(text, bound_s):
+    """Lint text, asserting it takes less than bound_s of CPU time."""
+    start = time.process_time()
+    findings = lint_text(text)
+    assert time.process_time() - start < bound_s
+    return findings
+
+
+class TestDeepInputs:
+    """Left-deep chains and long files lint in linear time, without error."""
+
+    def test_hundred_thousand_term_sum(self):
+        line = "angle a = " + " + ".join(str(k % 10) for k in range(100_000))
+        findings = lint_timed(line, 30.0)
+        assert [(f.rule, f.line, f.column) for f in findings] == [
+            (RULE_MISSING_REFERENCE_SYMBOL, 1, line.rindex("+") + 1)
+        ]
+
+    def test_ten_thousand_factor_product_chain(self):
+        factors = " ".join(f"{k % 9 + 1} {'*/'[k % 2]}" for k in range(9_999))
+        line = f"y = cos({factors} 0.5 rad)"
+        findings = lint_timed(line, 10.0)
+        assert [(f.rule, f.line, f.column) for f in findings] == [
+            (RULE_RAD_IN_TRIG_ARG, 1, line.index("0.5 rad") + 1)
+        ]
+
+    def test_ten_thousand_line_file(self):
+        block = ["length s", "length r", "angle a = s / r", "x = sin(0.5 rad)", "angle b = 90°"]
+        text = "\n".join(block * 2_000)
+        findings = lint_timed(text, 10.0)
+        expected = []
+        for start in range(0, 10_000, 5):
+            expected.append((RULE_MAGNITUDE_AS_QUOTIENT, start + 3, 13))
+            expected.append((RULE_RAD_IN_TRIG_ARG, start + 4, 9))
+        assert [(f.rule, f.line, f.column) for f in findings] == expected
+
+    def test_literals_of_any_length(self):
+        assert lint_text("x = " + "0" * 5000 + "1") == []
+        assert lint_text("x = 0." + "0" * 5000 + "1") == []
+        assert lint_text("x = 1e" + "0" * 5000 + "7") == []
+        findings = lint_text("x = 1" + "0" * 5000)
+        assert [(f.rule, f.column, f.message) for f in findings] == [
+            (None, 5, "number is outside float range")
+        ]
 
 
 @given(st.text(max_size=200))

@@ -64,6 +64,12 @@ class TestParseAngleDecimal:
         assert lit.parsed.value == ExactScalar(3, 2)
         assert lit.parsed.value.is_exact
 
+    def test_long_zero_runs_scan_exactly(self):
+        assert parse_number("0" * 5000 + "1.5") == ExactScalar(3, 2)
+        assert parse_number("1.5" + "0" * 5000) == ExactScalar(3, 2)
+        assert parse_number("25e-" + "0" * 5000 + "3") == ExactScalar(1, 40)
+        assert parse_number("0.0" + "0" * 5000) == ExactScalar(0)
+
     def test_exponent_notation(self):
         assert parse_angle("1e2 °").parsed.value == ExactScalar(100)
         assert parse_angle("2.5e-3 rad").parsed.value == ExactScalar(1, 400)
@@ -405,6 +411,19 @@ class TestExpressionParsing:
         kinds = [type(n).__name__ for n in walk(node)]
         assert kinds.count("NumberLiteral") == 2
         assert "FunctionApplication" in kinds
+        node = parse_expression("x = sin(2 * 30°) + y / 4")
+        assert [(type(n).__name__, n.position) for n in walk(node)] == [
+            ("BinaryOperation", 2),
+            ("Identifier", 0),
+            ("BinaryOperation", 17),
+            ("FunctionApplication", 4),
+            ("BinaryOperation", 10),
+            ("NumberLiteral", 8),
+            ("QuantityLiteral", 12),
+            ("BinaryOperation", 21),
+            ("Identifier", 19),
+            ("NumberLiteral", 23),
+        ]
 
     @pytest.mark.parametrize(
         "text, position",
