@@ -124,13 +124,16 @@ def _radius_arg(text: str) -> float:
 def _exact_arc_length(measure: ExactScalar, radius_text: str) -> ExactScalar | None:
     """measure·radius with the radius read as the decimal it was written as.
 
-    None when the radius has no exact reading (more than 15 significant
-    digits, or a spelling the number grammar does not accept) or when
-    the exact product leaves the 64-bit component range.
+    None when Fraction cannot read the text (such as a literal past
+    int's digit limit) or the exact product leaves the 64-bit component
+    range.
     """
+    from fractions import Fraction
+
     try:
-        length = measure * parse_number(radius_text)
-    except (ParseError, ExactOverflowError):
+        radius = Fraction(radius_text)
+        length = measure * ExactScalar(radius.numerator, radius.denominator)
+    except (ValueError, ExactOverflowError):
         return None
     return length if length.is_exact else None
 

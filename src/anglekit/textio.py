@@ -518,7 +518,6 @@ class _Token(NamedTuple):
 
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _UNIT_SYMBOLS = ("°", "′", "″")
-_SPACE_RE = re.compile(r"\s+")
 
 
 def _lex(text: str, offset: int) -> list[_Token]:
@@ -527,7 +526,7 @@ def _lex(text: str, offset: int) -> list[_Token]:
     while i < len(text):
         ch = text[i]
         if ch.isspace():
-            i = _SPACE_RE.match(text, i).end()
+            i += 1
             continue
         position = offset + i
         if ch in "+-":

@@ -100,6 +100,16 @@ class TestArcAndChord:
         code, out, err = run_cli("arc", "90°", "0.1", "--format", "records")
         assert (code, out, err) == (0, "length=0.15707963267948966\nexact=π/20\n", "")
 
+    @pytest.mark.parametrize(
+        "radius, exact", [(".5", "π/2"), ("2.", "2π"), ("1_000", "1000π")]
+    )
+    def test_every_float_spelling_of_the_radius_keeps_its_exact_form(
+        self, run_cli, radius, exact
+    ):
+        code, out, err = run_cli("arc", "180°", radius)
+        assert (code, err) == (0, "")
+        assert out.endswith(f" (exactly {exact})\n")
+
     def test_fractional_measure_with_decimal_radius(self, run_cli):
         code, out, err = run_cli("arc", "123/360 deg", "0.1")
         assert (code, err) == (0, "")
