@@ -19,11 +19,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from .exact import PI, TWO_PI, ZERO, ExactScalar
 
 __all__ = [
     "ReferenceAngle",
+    "check_full_circle",
     "AngleValue",
     "Measure",
     "Magnitude",
@@ -49,6 +50,14 @@ __all__ = [
 _CLASSIFY_TOLERANCE = 1e-12  # relative to the full circle, inexact inputs only
 
 
+def check_full_circle(value: object) -> None:
+    """Reject anything but an exact positive scalar as a full circle (a period)."""
+    if not isinstance(value, ExactScalar) or not value.is_exact:
+        raise DomainError("period must be an exact number")
+    if value.compare(ZERO) <= 0:
+        raise DomainError("period must be positive")
+
+
 @dataclass(frozen=True)
 class ReferenceAngle:
     """A named unit angle: `full_circle` of them make one revolution."""
@@ -58,12 +67,7 @@ class ReferenceAngle:
     full_circle: ExactScalar
 
     def __post_init__(self):
-        if not isinstance(self.full_circle, ExactScalar):
-            raise TypeError("full_circle must be an ExactScalar")
-        if not self.full_circle.is_exact:
-            raise DomainError("a reference angle needs an exact full circle")
-        if self.full_circle.compare(ZERO) <= 0:
-            raise DomainError("a reference angle's full circle must be positive")
+        check_full_circle(self.full_circle)
 
     def __str__(self):
         return self.symbol
@@ -257,7 +261,7 @@ def classify(angle: AngleValue) -> AngleClass:
     half = circle / ExactScalar(2)
     if value.is_exact:
         if value.compare(ZERO) < 0 or value.compare(circle) > 0:
-            raise DomainError("classification needs a value in [0, full_circle]")
+            raise RangeError("classification needs a value in [0, full_circle]")
         if value.is_zero:
             return AngleClass.ZERO
         against_quarter = value.compare(quarter)
@@ -277,7 +281,7 @@ def classify(angle: AngleValue) -> AngleClass:
     full = circle.to_float()
     tolerance = _CLASSIFY_TOLERANCE * full
     if f < -tolerance or f > full + tolerance:
-        raise DomainError("classification needs a value in [0, full_circle]")
+        raise RangeError("classification needs a value in [0, full_circle]")
     boundaries = (
         (0.0, AngleClass.ZERO),
         (full / 4.0, AngleClass.RIGHT),

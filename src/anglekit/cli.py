@@ -5,7 +5,7 @@ table, lint.  Each accepts --format {human,records}, --ascii, and
 --digits N after the subcommand name.  records mode prints one
 key=value pair per line with stable keys, suitable for scripting.
 
-Exit codes:
+Exit codes (an error's exit code is the `exit_code` of its class):
     0  success
     1  lint findings were reported
     2  input could not be parsed (also argparse usage errors)
@@ -28,21 +28,14 @@ from .angles import (
     AngleValue,
     Magnitude,
     ascii_symbol,
+    check_full_circle,
     classify,
     convert,
     find_reference,
     measure_of,
     semigroup_add,
 )
-from .errors import (
-    AngleKitError,
-    DomainError,
-    ExactOverflowError,
-    MissingUnitError,
-    ParseError,
-    PoleError,
-    UnknownUnitError,
-)
+from .errors import AngleKitError, DomainError, ExactOverflowError, ParseError
 from .exact import ExactScalar, format_float
 from .geometry import (
     ArcSpec,
@@ -53,26 +46,29 @@ from .geometry import (
 )
 from .lint import lint_text
 from .textio import parse_angle, parse_number
-from .trig import PeriodizedFunction, eval_inverse, eval_periodized
+from .trig import (
+    FORWARD_KINDS,
+    INVERSE_KINDS,
+    PeriodizedFunction,
+    eval_inverse,
+    eval_periodized,
+)
 
 EXIT_OK = 0
 EXIT_LINT = 1
 EXIT_PARSE = 2
 EXIT_UNIT = 3
 EXIT_RADIUS = 4
-EXIT_RANGE = 5
 EXIT_DOMAIN = 6
 EXIT_INTERNAL = 70
 
-_FORWARD_KINDS = ("sin", "cos", "tan")
-_INVERSE_KINDS = ("arcsin", "arccos")
 
+class _Failure(AngleKitError):
+    """An operand the command line rejects itself, with its own exit code."""
 
-class _Failure(Exception):
-    def __init__(self, code: int, message: str):
+    def __init__(self, exit_code: int, message: str):
         super().__init__(message)
-        self.code = code
-        self.message = message
+        self.exit_code = exit_code
 
 
 def _digits_arg(text: str) -> int:
@@ -179,11 +175,7 @@ def _cmd_arc(args) -> int:
     angle = _parse_angle_arg(args.angle)
     radius = _radius_arg(args.radius)
     measure = measure_of(angle)
-    try:
-        arc = ArcSpec(radius, measure)
-    except DomainError as exc:
-        raise _Failure(EXIT_RANGE, str(exc)) from None
-    length = arc_length(arc)
+    length = arc_length(ArcSpec(radius, measure))
     body = format_float(length, args.digits)
     records = [("length", body)]
     human = body
@@ -199,10 +191,7 @@ def _cmd_arc(args) -> int:
 def _cmd_chord(args) -> int:
     angle = _parse_angle_arg(args.angle)
     radius = _radius_arg(args.radius)
-    try:
-        length = chord_length(angle, radius)
-    except DomainError as exc:
-        raise _Failure(EXIT_RANGE, str(exc)) from None
+    length = chord_length(angle, radius)
     body = format_float(length, args.digits)
     _emit(args, body, [("chord", body)])
     return EXIT_OK
@@ -211,12 +200,7 @@ def _cmd_chord(args) -> int:
 def _cmd_add(args) -> int:
     first = _parse_angle_arg(args.first)
     second = _parse_angle_arg(args.second)
-    try:
-        total = semigroup_add(
-            Magnitude(measure_of(first)), Magnitude(measure_of(second))
-        )
-    except DomainError as exc:
-        raise _Failure(EXIT_DOMAIN, str(exc)) from None
+    total = semigroup_add(Magnitude(measure_of(first)), Magnitude(measure_of(second)))
     body = _scalar_text(total.measure.value, args)
     _emit(
         args,
@@ -236,34 +220,25 @@ def _cmd_points(args) -> int:
             coordinates.append(float(text))
         except ValueError:
             raise _Failure(EXIT_PARSE, f"coordinate {text!r} is not a number") from None
-    try:
-        p = PlanarPoint(coordinates[0], coordinates[1])
-        vertex = PlanarPoint(coordinates[2], coordinates[3])
-        q = PlanarPoint(coordinates[4], coordinates[5])
-        magnitude = angle_from_points(p, vertex, q)
-    except DomainError as exc:
-        raise _Failure(EXIT_DOMAIN, str(exc)) from None
+    p = PlanarPoint(coordinates[0], coordinates[1])
+    vertex = PlanarPoint(coordinates[2], coordinates[3])
+    q = PlanarPoint(coordinates[4], coordinates[5])
+    magnitude = angle_from_points(p, vertex, q)
     body = format_float(magnitude.measure.value.to_float(), args.digits)
     _emit(args, body, [("measure", body)])
     return EXIT_OK
 
 
 def _cmd_trig(args) -> int:
-    period = _parse_period(args.period)
-    if args.function in _FORWARD_KINDS:
-        value = _trig_argument(args.argument)
-        try:
-            result = eval_periodized(PeriodizedFunction(args.function, period), value)
-        except PoleError as exc:
-            raise _Failure(EXIT_DOMAIN, str(exc)) from None
+    period = parse_number(args.period)
+    check_full_circle(period)
+    x = _trig_argument(args.argument)
+    if args.function in FORWARD_KINDS:
+        result = eval_periodized(PeriodizedFunction(args.function, period), x)
         body = format_float(result, args.digits)
         _emit(args, body, [("value", body)])
         return EXIT_OK
-    ratio = _trig_argument(args.argument)
-    try:
-        result = eval_inverse(args.function, period, ratio)
-    except DomainError as exc:
-        raise _Failure(EXIT_DOMAIN, str(exc)) from None
+    result = eval_inverse(args.function, period, x)
     body = _scalar_text(result.value, args)
     unit = _unit_text(result.reference, args)
     _emit(
@@ -272,15 +247,6 @@ def _cmd_trig(args) -> int:
         [("value", body), ("unit", unit)],
     )
     return EXIT_OK
-
-
-def _parse_period(text: str) -> ExactScalar:
-    period = parse_number(text)
-    if not period.is_exact:
-        raise _Failure(EXIT_DOMAIN, "period must be an exact number")
-    if period.compare(ExactScalar(0)) <= 0:
-        raise _Failure(EXIT_DOMAIN, "period must be positive")
-    return period
 
 
 def _trig_argument(text: str) -> float:
@@ -292,19 +258,14 @@ def _trig_argument(text: str) -> float:
         literal = parse_angle(text)
     except ParseError:
         raise _Failure(EXIT_PARSE, f"could not parse number {text!r}") from None
-    raise _Failure(
-        EXIT_DOMAIN,
+    raise DomainError(
         "RAD-IN-TRIG-ARG: argument carries the unit "
         f"'{literal.parsed.reference.symbol}'; pass the dimensionless measure",
     )
 
 
 def _cmd_classify(args) -> int:
-    angle = _parse_angle_arg(args.angle)
-    try:
-        result = classify(angle)
-    except DomainError as exc:
-        raise _Failure(EXIT_RANGE, str(exc)) from None
+    result = classify(_parse_angle_arg(args.angle))
     _emit(args, result.value, [("class", result.value)])
     return EXIT_OK
 
@@ -412,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_points)
 
     p = sub.add_parser("trig", parents=[common], help="periodized trig functions")
-    p.add_argument("function", choices=_FORWARD_KINDS + _INVERSE_KINDS)
+    p.add_argument("function", choices=FORWARD_KINDS + INVERSE_KINDS)
     p.add_argument("argument")
     p.add_argument("--period", default="2pi", help="full circle (exact number, default 2pi)")
     p.set_defaults(func=_cmd_trig)
@@ -444,18 +405,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _Failure as exc:
-        return _fail(exc.code, exc.message)
-    except (UnknownUnitError, MissingUnitError) as exc:
-        return _fail(EXIT_UNIT, str(exc))
-    except ParseError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    except PoleError as exc:
-        return _fail(EXIT_DOMAIN, str(exc))
-    except DomainError as exc:
-        return _fail(EXIT_DOMAIN, str(exc))
     except AngleKitError as exc:
-        return _fail(EXIT_DOMAIN, str(exc))
+        return _fail(exc.exit_code, str(exc))
     except ZeroDivisionError as exc:
         return _fail(EXIT_DOMAIN, str(exc))
     except Exception as exc:  # pragma: no cover - safety net, no tracebacks

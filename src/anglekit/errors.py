@@ -4,6 +4,8 @@
 class AngleKitError(Exception):
     """Base class for every error this package raises on purpose."""
 
+    exit_code = 6  # the command line's exit status on this error
+
 
 class ExactOverflowError(AngleKitError, OverflowError):
     """A normalized exact component exceeded the 64-bit bound.
@@ -16,6 +18,12 @@ class ExactOverflowError(AngleKitError, OverflowError):
 
 class DomainError(AngleKitError, ValueError):
     """An argument lies outside an operation's mathematical domain."""
+
+
+class RangeError(DomainError):
+    """A measure lies outside the range an operation accepts."""
+
+    exit_code = 5
 
 
 class PoleError(DomainError):
@@ -37,6 +45,8 @@ class ParseError(AngleKitError, ValueError):
     was detected.
     """
 
+    exit_code = 2
+
     def __init__(self, message: str, position: int):
         super().__init__(message)
         self.message = message
@@ -49,9 +59,13 @@ class ParseError(AngleKitError, ValueError):
 class UnknownUnitError(ParseError):
     """A unit token was present but names no known reference angle."""
 
+    exit_code = 3
+
 
 class MissingUnitError(ParseError):
     """A bare number was given where an angle with a unit is required."""
+
+    exit_code = 3
 
 
 class UnsupportedFormError(AngleKitError, ValueError):

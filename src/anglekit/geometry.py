@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .angles import AngleValue, Magnitude, Measure, measure_of
-from .errors import DegenerateVertexError, DomainError, ZeroAngleError
+from .errors import DegenerateVertexError, DomainError, RangeError, ZeroAngleError
 from .exact import TWO_PI, ZERO, ExactScalar
 from .quadrature import integrate
 
@@ -26,7 +26,6 @@ __all__ = [
     "arc_length",
     "chord_length",
     "chord_integral",
-    "chord_integral_inverse",
 ]
 
 _DEGENERACY_THRESHOLD = 1e-12  # relative to the longer ray
@@ -54,7 +53,7 @@ class ArcSpec:
             raise DomainError("arc radius must be positive and finite")
         value = self.measure.value
         if value.compare(ZERO) <= 0 or value.compare(TWO_PI) > 0:
-            raise DomainError("arc measure must lie in (0, 2π]")
+            raise RangeError("arc measure must lie in (0, 2π]")
 
 
 def angle_from_points(p: PlanarPoint, vertex: PlanarPoint, q: PlanarPoint) -> Magnitude:
@@ -113,7 +112,7 @@ def chord_length(angle: AngleValue, radius: float) -> float:
         raise DomainError("chord radius must be positive and finite")
     phi = measure_of(angle).value
     if phi.compare(ZERO) < 0 or phi.compare(TWO_PI) > 0:
-        raise DomainError("chord needs a measure in [0, 2π]")
+        raise RangeError("chord needs a measure in [0, 2π]")
     return 2.0 * radius * math.sin(0.5 * phi.to_float())
 
 
@@ -129,10 +128,3 @@ def chord_integral(x: float) -> float:
         return 0.0
     lower = math.sqrt(1.0 - x)
     return integrate(lambda u: 2.0 / math.sqrt(2.0 - u * u), lower, 1.0, tolerance=1e-11)
-
-
-def chord_integral_inverse(y: float) -> float:
-    """The inverse map of chord_integral, defined on [0, π/2]."""
-    if not 0.0 <= y <= math.pi / 2.0:
-        raise DomainError("inverse chord integral is defined on [0, π/2]")
-    return math.sin(y)

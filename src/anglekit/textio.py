@@ -123,6 +123,14 @@ def _match_pi(text: str, i: int) -> int | None:
     return None
 
 
+def _digits_to_int(digits: str, position: int) -> int:
+    """int(digits), with a digit run past int's conversion limit rejected."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("integer has too many digits", position) from None
+
+
 def _decimal_to_scalar(text: str, position: int) -> ExactScalar:
     """Exact conversion of a decimal literal when it is short enough.
 
@@ -202,7 +210,7 @@ def _scan_number(
         after = i + 1
         if not plain_integer:
             raise ParseError("fraction numerator must be an integer", start)
-        numerator = sign * int(coefficient_text)
+        numerator = sign * _digits_to_int(coefficient_text, start)
         pi_end = _match_pi(text, after)
         if pi_end is not None:
             # n/π
@@ -212,7 +220,7 @@ def _scan_number(
             dm = _DIGITS_RE.match(text, j)
             denominator = 1
             if dm is not None:
-                denominator = int(dm.group())
+                denominator = _digits_to_int(dm.group(), start)
                 j = dm.end()
             pi_end = _match_pi(text, j)
             if pi_end is None:
@@ -239,7 +247,7 @@ def _scan_posint(text: str, i: int) -> tuple[int, int]:
     m = _DIGITS_RE.match(text, i)
     if m is None:
         raise ParseError("expected a positive integer", i)
-    value = int(m.group())
+    value = _digits_to_int(m.group(), i)
     if value == 0:
         raise ParseError("denominator must be positive", i)
     return value, m.end()
@@ -315,8 +323,8 @@ def _scan_unit(text: str, i: int) -> tuple[ReferenceAngle, int]:
 
 def _dms_value(m: re.Match) -> AngleValue:
     sign = -1 if m.group("sign") == "-" else 1
-    degrees = int(m.group("deg"))
-    minutes = int(m.group("min") or 0)
+    degrees = _digits_to_int(m.group("deg"), m.start("deg"))
+    minutes = _digits_to_int(m.group("min") or "0", m.start("min"))
     seconds_text = m.group("sec")
     seconds = (
         _decimal_to_scalar(seconds_text, m.start("sec")) if seconds_text else None
@@ -331,7 +339,10 @@ def _dms_value(m: re.Match) -> AngleValue:
         except ExactOverflowError:
             pass
     seconds_float = seconds.to_float() if seconds is not None else 0.0
-    approx = sign * (degrees + minutes / 60.0 + seconds_float / 3600.0)
+    try:
+        approx = sign * (degrees + minutes / 60.0 + seconds_float / 3600.0)
+    except OverflowError:  # degrees past float range
+        approx = math.inf
     if not math.isfinite(approx):
         raise ParseError("number is outside float range", m.start("deg"))
     return AngleValue(ExactScalar.inexact(approx), DEGREE)
@@ -548,29 +559,28 @@ def _lex(text: str, offset: int) -> list[_Token]:
                     i += 1
                     continue
                 raise ParseError("unexpected character '-'", position)
+        elif not (ch.isdigit() or (ch in "pπ" and _match_pi(text, i) is not None)):
+            if ch in "*/=()":
+                tokens.append(_Token("OP", ch, position))
+                i += 1
+                continue
+            if ch in _UNIT_SYMBOLS:
+                tokens.append(_Token("UNIT", ch, position))
+                i += 1
+                continue
+            m = _WORD_RE.match(text, i)
+            if m is not None:
+                tokens.append(_Token("WORD", m.group(), position))
+                i = m.end()
+                continue
+            raise ParseError(f"unexpected character {ch!r}", position)
+        try:
             value, _, end = _scan_number(text, i, allow_slash=False)
-            tokens.append(_Token("NUMBER", text[i:end], position, value))
-            i = end
-            continue
-        if ch.isdigit() or (ch in "pπ" and _match_pi(text, i) is not None):
-            value, _, end = _scan_number(text, i, allow_slash=False)
-            tokens.append(_Token("NUMBER", text[i:end], position, value))
-            i = end
-            continue
-        if ch in "*/=()":
-            tokens.append(_Token("OP", ch, position))
-            i += 1
-            continue
-        if ch in _UNIT_SYMBOLS:
-            tokens.append(_Token("UNIT", ch, position))
-            i += 1
-            continue
-        m = _WORD_RE.match(text, i)
-        if m is not None:
-            tokens.append(_Token("WORD", m.group(), position))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", position)
+        except ParseError as exc:
+            exc.position += offset  # _scan_number counts from the start of text
+            raise
+        tokens.append(_Token("NUMBER", text[i:end], position, value))
+        i = end
     tokens.append(_Token("END", "", offset + len(text)))
     return tokens
 

@@ -18,12 +18,15 @@ from .angles import (
     BUILTIN_REFERENCES,
     AngleValue,
     ReferenceAngle,
+    check_full_circle,
     measure_of,
 )
 from .errors import DomainError, PoleError
-from .exact import PI_HIGH_PRECISION, ZERO, ExactScalar
+from .exact import PI_HIGH_PRECISION, ExactScalar
 
 __all__ = [
+    "FORWARD_KINDS",
+    "INVERSE_KINDS",
     "PeriodizedFunction",
     "UnitCirclePoint",
     "eval_periodized",
@@ -33,8 +36,8 @@ __all__ = [
     "reference_for_period",
 ]
 
-_KINDS = ("sin", "cos", "tan")
-_INVERSE_KINDS = ("arcsin", "arccos")
+FORWARD_KINDS = ("sin", "cos", "tan")
+INVERSE_KINDS = ("arcsin", "arccos")
 _POLE_TOLERANCE = 1e-10  # in reduced-radian space
 
 
@@ -46,12 +49,9 @@ class PeriodizedFunction:
     period: ExactScalar
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}")
-        if not isinstance(self.period, ExactScalar) or not self.period.is_exact:
-            raise DomainError("period must be an exact scalar")
-        if self.period.compare(ZERO) <= 0:
-            raise DomainError("period must be positive")
+        if self.kind not in FORWARD_KINDS:
+            raise ValueError(f"kind must be one of {FORWARD_KINDS}")
+        check_full_circle(self.period)
 
     def __call__(self, x: float) -> float:
         return eval_periodized(self, x)
@@ -103,12 +103,9 @@ def eval_inverse(kind: str, period: ExactScalar, x: float) -> AngleValue:
     circle: in [-period/4, period/4] for arcsin, [0, period/2] for
     arccos.
     """
-    if kind not in _INVERSE_KINDS:
-        raise ValueError(f"kind must be one of {_INVERSE_KINDS}")
-    if not isinstance(period, ExactScalar) or not period.is_exact:
-        raise DomainError("period must be an exact scalar")
-    if period.compare(ZERO) <= 0:
-        raise DomainError("period must be positive")
+    if kind not in INVERSE_KINDS:
+        raise ValueError(f"kind must be one of {INVERSE_KINDS}")
+    check_full_circle(period)
     if not -1.0 <= x <= 1.0:
         raise DomainError("inverse sine and cosine are defined on [-1, 1]")
     theta = math.asin(x) if kind == "arcsin" else math.acos(x)

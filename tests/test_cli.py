@@ -386,6 +386,26 @@ class TestUsageAndSafety:
             _, out, err = run_cli(*argv)
             assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize(
+        "argv, stderr",
+        [
+            (
+                ["convert", "--", "1" * 5000 + "/3 rad", "deg"],
+                "error: integer has too many digits (at position 0)\n",
+            ),
+            (
+                ["convert", "--", "1" * 400 + "°", "rad"],
+                "error: number is outside float range (at position 0)\n",
+            ),
+            (
+                ["trig", "sin", "1", "--period", "1" * 5000 + "/3"],
+                "error: integer has too many digits (at position 0)\n",
+            ),
+        ],
+    )
+    def test_overlong_literals_are_parse_errors(self, run_cli, argv, stderr):
+        assert run_cli(*argv) == (2, "", stderr)
+
     def test_records_output_is_byte_stable(self, run_cli):
         first = run_cli("convert", "180°", "rad", "--format", "records")
         second = run_cli("convert", "180°", "rad", "--format", "records")
@@ -413,3 +433,71 @@ GOLDEN = [
 def test_golden_transcripts(run_cli, argv, expected):
     code, out, err = run_cli(*argv)
     assert (code, out, err) == (0, expected, "")
+
+
+ERROR_GOLDEN = [
+    (["convert", "@@@", "rad"], 2, "error: expected a number (at position 0)\n"),
+    (
+        ["convert", "99999999999999999999/7 rad", "deg"],
+        2,
+        "error: normalized component exceeds 64-bit bound: 99999999999999999999/7"
+        " (at position 0)\n",
+    ),
+    (["convert", "1 furlong", "rad"], 3, "error: unknown unit 'furlong' (at position 2)\n"),
+    (["convert", "180°", "furlong"], 3, "error: unknown unit 'furlong'\n"),
+    (["measure", "1.5"], 3, "error: angle needs a unit symbol (at position 3)\n"),
+    (["arc", "90°", "wide"], 2, "error: radius 'wide' is not a number\n"),
+    (["arc", "90°", "0"], 4, "error: radius must be positive and finite\n"),
+    (["arc", "0°", "1"], 5, "error: arc measure must lie in (0, 2π]\n"),
+    (["chord", "90°", "nan"], 4, "error: radius must be positive and finite\n"),
+    (["chord", "370°", "1"], 5, "error: chord needs a measure in [0, 2π]\n"),
+    (["add", "270°", "10°"], 6, "error: semigroup addition needs operands in (0, π]\n"),
+    (["add", "0°", "10°"], 6, "error: a magnitude requires a measure in (0, 2π]\n"),
+    (["points", "a", "0", "0", "0", "0", "1"], 2, "error: coordinate 'a' is not a number\n"),
+    (["points", "inf", "0", "0", "0", "0", "1"], 6, "error: planar points need finite coordinates\n"),
+    (["points", "0", "0", "0", "0", "1", "1"], 6, "error: ray endpoint coincides with the vertex\n"),
+    (
+        ["points", "1", "0", "0", "0", "2", "0"],
+        6,
+        "error: rays point the same way; no angle between them\n",
+    ),
+    (
+        ["trig", "tan", "90", "--period", "360"],
+        6,
+        "error: tangent pole: argument is an odd quarter of the period\n",
+    ),
+    (
+        ["trig", "sin", "0.5 rad"],
+        6,
+        "error: RAD-IN-TRIG-ARG: argument carries the unit 'rad'; pass the dimensionless measure\n",
+    ),
+    (["trig", "arcsin", "2"], 6, "error: inverse sine and cosine are defined on [-1, 1]\n"),
+    (["trig", "sin", "later"], 2, "error: could not parse number 'later'\n"),
+    (["trig", "sin", "1", "--period", "soon"], 2, "error: expected a number (at position 0)\n"),
+    (["trig", "sin", "1", "--period", "0"], 6, "error: period must be positive\n"),
+    (["trig", "sin", "later", "--period", "-5"], 6, "error: period must be positive\n"),
+    (
+        ["trig", "sin", "1", "--period", "6.28318530717958647692528"],
+        6,
+        "error: period must be an exact number\n",
+    ),
+    (
+        ["trig", "arccos", "later", "--period", "0.1234567890123456789"],
+        6,
+        "error: period must be an exact number\n",
+    ),
+    (["classify", "370°"], 5, "error: classification needs a value in [0, full_circle]\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,stderr", ERROR_GOLDEN, ids=[" ".join(a) for a, _, _ in ERROR_GOLDEN]
+)
+def test_error_transcripts(run_cli, argv, code, stderr):
+    assert run_cli(*argv) == (code, "", stderr)
+
+
+def test_unreadable_lint_file_transcript(run_cli, tmp_path):
+    path = str(tmp_path / "nope.txt")
+    expected = f"error: cannot read {path!r}: [Errno 2] No such file or directory: {path!r}\n"
+    assert run_cli("lint", path) == (2, "", expected)

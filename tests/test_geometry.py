@@ -19,7 +19,6 @@ from anglekit.geometry import (
     angle_from_points,
     arc_length,
     chord_integral,
-    chord_integral_inverse,
     chord_length,
     congruent,
 )
@@ -111,19 +110,6 @@ class TestChordIntegral:
             chord_integral(-0.1)
         with pytest.raises(DomainError):
             chord_integral(1.1)
-
-    def test_inverse_round_trip(self):
-        for i in range(0, 101):
-            x = i / 100
-            assert chord_integral_inverse(chord_integral(x)) == pytest.approx(
-                x, abs=1e-10
-            )
-
-    def test_inverse_domain(self):
-        with pytest.raises(DomainError):
-            chord_integral_inverse(-0.1)
-        with pytest.raises(DomainError):
-            chord_integral_inverse(math.pi / 2 + 0.1)
 
 
 class TestArc:

@@ -2,6 +2,7 @@
 
 import time
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -136,6 +137,16 @@ class TestStatementsAndSyntax:
             (RULE_MISSING_REFERENCE_SYMBOL, 1),
             (RULE_RAD_IN_TRIG_ARG, 2),
             (None, 3),
+        ]
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [("x = 1e400", 5), ("angle a = 1e400", 11), ("angle a = 2 * -1e400°", 15)],
+    )
+    def test_number_scan_errors_point_at_the_literal(self, text, column):
+        findings = lint_text(text)
+        assert [(f.rule, f.column, f.message) for f in findings] == [
+            (None, column, "number is outside float range")
         ]
 
     def test_columns_are_one_based(self):

@@ -193,6 +193,22 @@ class TestParseErrors:
             parse_angle(text)
         assert excinfo.value.position == position
 
+    @pytest.mark.parametrize(
+        "text, position, message",
+        [
+            ("1" * 5000 + "/3 rad", 0, "integer has too many digits"),
+            ("3/" + "7" * 5000 + " rad", 2, "integer has too many digits"),
+            ("1/(" + "7" * 5000 + "π) rad", 0, "integer has too many digits"),
+            ("1" * 5000 + "d30m", 0, "integer has too many digits"),
+            ("1d" + "3" * 5000 + "m", 2, "integer has too many digits"),
+            ("-" + "1" * 400 + "°", 1, "number is outside float range"),
+        ],
+    )
+    def test_overlong_integers(self, text, position, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse_angle(text)
+        assert (excinfo.value.message, excinfo.value.position) == (message, position)
+
     def test_unknown_unit_message_names_the_token(self):
         with pytest.raises(UnknownUnitError, match="furlong"):
             parse_angle("90 furlong")
