@@ -28,6 +28,7 @@ __all__ = [
     "AngleValue",
     "Measure",
     "Magnitude",
+    "in_magnitude_range",
     "AngleClass",
     "RADIAN",
     "DEGREE",
@@ -41,7 +42,6 @@ __all__ = [
     "convert",
     "measure_of",
     "value_from_measure",
-    "straight_angle_coefficient",
     "reduce_principal",
     "classify",
     "semigroup_add",
@@ -88,10 +88,9 @@ _ALIASES: dict[str, ReferenceAngle] = {}
 for _ref in BUILTIN_REFERENCES:
     _ALIASES[_ref.name] = _ref
     _ALIASES[_ref.symbol] = _ref
-_ALIASES["deg"] = DEGREE
-_ALIASES["arcmin"] = ARCMINUTE
-_ALIASES["arcsec"] = ARCSECOND
-del _ref
+for _glyph, _spelling in _ASCII_SYMBOLS.items():
+    _ALIASES[_spelling] = _ALIASES[_glyph]
+del _ref, _glyph, _spelling
 
 
 def find_reference(token: str) -> ReferenceAngle | None:
@@ -111,12 +110,6 @@ class AngleValue:
     value: ExactScalar
     reference: ReferenceAngle
 
-    def to(self, target: ReferenceAngle) -> "AngleValue":
-        return convert(self, target)
-
-    def measure(self) -> "Measure":
-        return measure_of(self)
-
     def __str__(self):
         return f"{self.value} {self.reference.symbol}"
 
@@ -135,6 +128,11 @@ class Measure:
         return str(self.value)
 
 
+def in_magnitude_range(value: ExactScalar) -> bool:
+    """Whether a measure lies in (0, 2π], the range of a geometric angle."""
+    return value.compare(ZERO) > 0 and value.compare(TWO_PI) <= 0
+
+
 @dataclass(frozen=True)
 class Magnitude:
     """A geometric angle: a measure constrained to (0, 2π].
@@ -146,10 +144,7 @@ class Magnitude:
     measure: Measure
 
     def __post_init__(self):
-        value = self.measure.value
-        if value.compare(ZERO) <= 0:
-            raise DomainError("a magnitude requires a measure in (0, 2π]")
-        if value.compare(TWO_PI) > 0:
+        if not in_magnitude_range(self.measure.value):
             raise DomainError("a magnitude requires a measure in (0, 2π]")
 
     def __str__(self):
@@ -191,11 +186,6 @@ def measure_of(angle: AngleValue) -> Measure:
 def value_from_measure(measure: Measure, reference: ReferenceAngle) -> AngleValue:
     """Inverse of measure_of: value = measure·full_circle/2π."""
     return AngleValue(measure.value * (reference.full_circle / TWO_PI), reference)
-
-
-def straight_angle_coefficient(measure: Measure) -> ExactScalar:
-    """How many straight angles the measure spans (measure/π)."""
-    return measure.value / PI
 
 
 def semigroup_add(a: Magnitude, b: Magnitude) -> Magnitude:

@@ -20,7 +20,6 @@ Exit codes (an error's exit code is the `exit_code` of its class):
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .angles import (
@@ -42,10 +41,11 @@ from .geometry import (
     PlanarPoint,
     angle_from_points,
     arc_length,
+    check_radius,
     chord_length,
 )
 from .lint import lint_text
-from .textio import parse_angle, parse_number
+from .textio import OUTSIDE_FLOAT_RANGE, parse_angle, parse_number
 from .trig import (
     FORWARD_KINDS,
     INVERSE_KINDS,
@@ -58,7 +58,6 @@ EXIT_OK = 0
 EXIT_LINT = 1
 EXIT_PARSE = 2
 EXIT_UNIT = 3
-EXIT_RADIUS = 4
 EXIT_DOMAIN = 6
 EXIT_INTERNAL = 70
 
@@ -112,8 +111,7 @@ def _radius_arg(text: str) -> float:
         radius = float(text)
     except ValueError:
         raise _Failure(EXIT_PARSE, f"radius {text!r} is not a number") from None
-    if not math.isfinite(radius) or radius <= 0.0:
-        raise _Failure(EXIT_RADIUS, "radius must be positive and finite")
+    check_radius(radius)
     return radius
 
 
@@ -252,8 +250,9 @@ def _cmd_trig(args) -> int:
 def _trig_argument(text: str) -> float:
     try:
         return parse_number(text).to_float()
-    except ParseError:
-        pass
+    except ParseError as exc:
+        if exc.message == OUTSIDE_FLOAT_RANGE:
+            raise
     try:
         literal = parse_angle(text)
     except ParseError:

@@ -26,6 +26,12 @@ class RangeError(DomainError):
     exit_code = 5
 
 
+class RadiusError(DomainError):
+    """A radius is not a positive finite number."""
+
+    exit_code = 4
+
+
 class PoleError(DomainError):
     """A periodic tangent was evaluated too close to one of its poles."""
 

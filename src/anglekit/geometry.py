@@ -13,14 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .angles import AngleValue, Magnitude, Measure, measure_of
-from .errors import DegenerateVertexError, DomainError, RangeError, ZeroAngleError
+from .angles import AngleValue, Magnitude, Measure, in_magnitude_range, measure_of
+from .errors import DegenerateVertexError, DomainError, RadiusError, RangeError, ZeroAngleError
 from .exact import TWO_PI, ZERO, ExactScalar
 from .quadrature import integrate
 
 __all__ = [
     "PlanarPoint",
     "ArcSpec",
+    "check_radius",
     "angle_from_points",
     "congruent",
     "arc_length",
@@ -41,6 +42,12 @@ class PlanarPoint:
             raise DomainError("planar points need finite coordinates")
 
 
+def check_radius(radius: float) -> None:
+    """Reject a radius that is not a positive finite number."""
+    if not math.isfinite(radius) or radius <= 0.0:
+        raise RadiusError("radius must be positive and finite")
+
+
 @dataclass(frozen=True)
 class ArcSpec:
     """A circular arc: positive radius plus a magnitude-range measure."""
@@ -49,10 +56,8 @@ class ArcSpec:
     measure: Measure
 
     def __post_init__(self):
-        if not math.isfinite(self.radius) or self.radius <= 0.0:
-            raise DomainError("arc radius must be positive and finite")
-        value = self.measure.value
-        if value.compare(ZERO) <= 0 or value.compare(TWO_PI) > 0:
+        check_radius(self.radius)
+        if not in_magnitude_range(self.measure.value):
             raise RangeError("arc measure must lie in (0, 2π]")
 
 
@@ -108,8 +113,7 @@ def chord_length(angle: AngleValue, radius: float) -> float:
 
     The angle's measure must lie in [0, 2π]; the chord is 2r·sin(φ/2).
     """
-    if not math.isfinite(radius) or radius <= 0.0:
-        raise DomainError("chord radius must be positive and finite")
+    check_radius(radius)
     phi = measure_of(angle).value
     if phi.compare(ZERO) < 0 or phi.compare(TWO_PI) > 0:
         raise RangeError("chord needs a measure in [0, 2π]")

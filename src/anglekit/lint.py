@@ -34,6 +34,7 @@ from .textio import (
     parse_expression,
     walk,
 )
+from .trig import FORWARD_KINDS, INVERSE_KINDS
 
 __all__ = [
     "RULE_RAD_IN_TRIG_ARG",
@@ -55,7 +56,7 @@ ALL_RULES = (
     RULE_MAGNITUDE_AS_QUOTIENT,
 )
 
-TRIG_FUNCTIONS = frozenset({"sin", "cos", "tan", "arcsin", "arccos"})
+TRIG_FUNCTIONS = frozenset(FORWARD_KINDS + INVERSE_KINDS)
 
 _STATEMENT_RE = re.compile(
     r"^\s*(?P<kw>angle|length)\s+(?P<name>[A-Za-z_][A-Za-z0-9_]*)"

@@ -38,6 +38,7 @@ def gauss_legendre_nodes(order: int) -> tuple[list[float], list[float]]:
 
 
 _NODES, _WEIGHTS = gauss_legendre_nodes(16)
+_MAX_DEPTH = 40  # bisection levels; an interval this deep is accepted as it is
 
 
 def _panel(f, a: float, b: float) -> float:
@@ -46,7 +47,7 @@ def _panel(f, a: float, b: float) -> float:
     return half * math.fsum(w * f(mid + half * x) for x, w in zip(_NODES, _WEIGHTS))
 
 
-def integrate(f, a: float, b: float, tolerance: float = 1e-12, max_depth: int = 40) -> float:
+def integrate(f, a: float, b: float, tolerance: float = 1e-12) -> float:
     """Integrate f over [a, b] by adaptive interval bisection.
 
     Each interval's 16-point estimate is accepted once splitting it in
@@ -60,7 +61,7 @@ def integrate(f, a: float, b: float, tolerance: float = 1e-12, max_depth: int = 
         mid = 0.5 * (lo + hi)
         left = _panel(f, lo, mid)
         right = _panel(f, mid, hi)
-        if abs(left + right - whole) <= budget or depth >= max_depth:
+        if abs(left + right - whole) <= budget or depth >= _MAX_DEPTH:
             return left + right
         return recurse(lo, mid, left, 0.5 * budget, depth + 1) + recurse(
             mid, hi, right, 0.5 * budget, depth + 1

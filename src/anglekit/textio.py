@@ -34,6 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .angles import (
+    _ALIASES,
     DEGREE,
     AngleValue,
     ReferenceAngle,
@@ -48,6 +49,7 @@ from .errors import (
     UnsupportedFormError,
 )
 from .exact import PI, ExactScalar, format_float
+from .trig import FORWARD_KINDS, INVERSE_KINDS
 
 __all__ = [
     "AngleLiteral",
@@ -62,13 +64,16 @@ __all__ = [
     "FunctionApplication",
     "BinaryOperation",
     "FUNCTION_NAMES",
+    "OUTSIDE_FLOAT_RANGE",
     "parse_expression",
     "walk",
 ]
 
 ANGLE_FORMS = ("decimal", "symbolic_pi", "dms")
 
-FUNCTION_NAMES = frozenset({"sin", "cos", "tan", "arcsin", "arccos", "exp"})
+FUNCTION_NAMES = frozenset(FORWARD_KINDS + INVERSE_KINDS + ("exp",))
+
+OUTSIDE_FLOAT_RANGE = "number is outside float range"
 
 _EXACT_DIGIT_LIMIT = 15
 _MAX_NESTING = 100
@@ -83,13 +88,9 @@ _DMS_RE = re.compile(
     r")?\s*\Z"
 )
 
-# Longest tokens first so "arcminute" is not cut off at "arcmin".
-_UNIT_TOKENS = sorted(
-    ("rad", "radian", "°", "deg", "degree", "gon", "turn",
-     "′", "arcmin", "arcminute", "″", "arcsec", "arcsecond"),
-    key=len,
-    reverse=True,
-)
+# Longest tokens first, so arcminute is not cut off at arcmin.
+_UNIT_TOKENS = sorted(_ALIASES, key=len, reverse=True)
+_UNIT_SYMBOLS = tuple(token for token in _ALIASES if not token.isalpha())  # °′″
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ def _decimal_to_scalar(text: str, position: int) -> ExactScalar:
                 pass
     approx = float(text)
     if not math.isfinite(approx):
-        raise ParseError("number is outside float range", position)
+        raise ParseError(OUTSIDE_FLOAT_RANGE, position)
     return ExactScalar.inexact(approx)
 
 
@@ -313,8 +314,7 @@ def _scan_unit(text: str, i: int) -> tuple[ReferenceAngle, int]:
                 text[end].isalpha() or text[end] == "_"
             ):
                 continue
-            reference = find_reference(token)
-            return reference, end
+            return _ALIASES[token], end
     if i >= len(text):
         raise MissingUnitError("angle needs a unit symbol", i)
     chunk = re.match(r"\S+", text[i:]).group()
@@ -344,7 +344,7 @@ def _dms_value(m: re.Match) -> AngleValue:
     except OverflowError:  # degrees past float range
         approx = math.inf
     if not math.isfinite(approx):
-        raise ParseError("number is outside float range", m.start("deg"))
+        raise ParseError(OUTSIDE_FLOAT_RANGE, m.start("deg"))
     return AngleValue(ExactScalar.inexact(approx), DEGREE)
 
 
@@ -528,7 +528,6 @@ class _Token(NamedTuple):
 
 
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_UNIT_SYMBOLS = ("°", "′", "″")
 
 
 def _lex(text: str, offset: int) -> list[_Token]:
@@ -649,33 +648,28 @@ class _ExpressionParser:
             if nxt.kind == "OP" and nxt.text == "(":
                 if token.text not in FUNCTION_NAMES:
                     raise ParseError(f"unknown function '{token.text}'", token.position)
-                self.advance()
-                self.depth += 1
-                if self.depth > _MAX_NESTING:
-                    raise ParseError("expression nests too deeply", token.position)
-                argument = self.equality()
-                closing = self.peek()
-                if not (closing.kind == "OP" and closing.text == ")"):
-                    raise ParseError("expected ')'", closing.position)
-                self.advance()
-                self.depth -= 1
+                argument = self.group(token.position)
                 return FunctionApplication(token.position, token.text, argument)
             return Identifier(token.position, token.text)
         if token.kind == "OP" and token.text == "(":
-            self.advance()
-            self.depth += 1
-            if self.depth > _MAX_NESTING:
-                raise ParseError("expression nests too deeply", token.position)
-            node = self.equality()
-            closing = self.peek()
-            if not (closing.kind == "OP" and closing.text == ")"):
-                raise ParseError("expected ')'", closing.position)
-            self.advance()
-            self.depth -= 1
-            return node
+            return self.group(token.position)
         if token.kind == "UNIT":
             raise ParseError("unit symbol needs a number before it", token.position)
         raise ParseError("expected a value", token.position)
+
+    def group(self, position: int) -> ExpressionNode:
+        """Consume "(", an expression and its ")"; `position` reports deep nesting."""
+        self.advance()
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError("expression nests too deeply", position)
+        node = self.equality()
+        closing = self.peek()
+        if not (closing.kind == "OP" and closing.text == ")"):
+            raise ParseError("expected ')'", closing.position)
+        self.advance()
+        self.depth -= 1
+        return node
 
     def maybe_quantity(self, number: _Token) -> ExpressionNode:
         token = self.peek()

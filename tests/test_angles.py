@@ -27,7 +27,6 @@ from anglekit.angles import (
     measure_of,
     reduce_principal,
     semigroup_add,
-    straight_angle_coefficient,
     value_from_measure,
 )
 from anglekit.errors import DomainError
@@ -65,6 +64,8 @@ class TestReferences:
             ("arcmin", ARCMINUTE),
             ("″", ARCSECOND),
             ("arcsecond", ARCSECOND),
+            ("arcminute", ARCMINUTE),
+            ("arcsec", ARCSECOND),
         ],
     )
     def test_find_reference(self, token, ref):
@@ -150,13 +151,6 @@ class TestMeasure:
         assert value_from_measure(measure, DEGREE).value == ExactScalar(90)
         assert value_from_measure(measure, GON).value == ExactScalar(100)
         assert value_from_measure(measure, RADIAN).value == PI / ExactScalar(2)
-
-    def test_straight_angle_coefficient(self):
-        assert straight_angle_coefficient(Measure(PI / ExactScalar(2))) == ExactScalar(1, 2)
-        assert straight_angle_coefficient(
-            Measure(ExactScalar(3, 2) * PI)
-        ) == ExactScalar(3, 2)
-        assert straight_angle_coefficient(Measure(PI)) == ExactScalar(1)
 
 
 class TestMagnitude:

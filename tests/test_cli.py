@@ -473,6 +473,7 @@ ERROR_GOLDEN = [
     ),
     (["trig", "arcsin", "2"], 6, "error: inverse sine and cosine are defined on [-1, 1]\n"),
     (["trig", "sin", "later"], 2, "error: could not parse number 'later'\n"),
+    (["trig", "sin", "1e400"], 2, "error: number is outside float range (at position 0)\n"),
     (["trig", "sin", "1", "--period", "soon"], 2, "error: expected a number (at position 0)\n"),
     (["trig", "sin", "1", "--period", "0"], 6, "error: period must be positive\n"),
     (["trig", "sin", "later", "--period", "-5"], 6, "error: period must be positive\n"),

@@ -1,5 +1,7 @@
 """The error contract: exit codes on the classes, and who raises which class."""
 
+import math
+
 import pytest
 
 from anglekit import errors
@@ -25,6 +27,7 @@ from anglekit.trig import PeriodizedFunction, eval_inverse
         (errors.ExactOverflowError, 6),
         (errors.DomainError, 6),
         (errors.RangeError, 5),
+        (errors.RadiusError, 4),
         (errors.PoleError, 6),
         (errors.DegenerateVertexError, 6),
         (errors.ZeroAngleError, 6),
@@ -40,6 +43,24 @@ def test_exit_codes(cls, code):
 
 def test_range_error_is_a_domain_error():
     assert issubclass(errors.RangeError, errors.DomainError)
+
+
+def test_radius_error_is_a_domain_error():
+    assert issubclass(errors.RadiusError, errors.DomainError)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ArcSpec(0.0, Measure(PI)),
+        lambda: chord_length(AngleValue(ExactScalar(60), DEGREE), math.nan),
+    ],
+    ids=["ArcSpec", "chord_length"],
+)
+def test_every_radius_goes_through_one_check(call):
+    with pytest.raises(errors.RadiusError) as excinfo:
+        call()
+    assert str(excinfo.value) == "radius must be positive and finite"
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from anglekit.angles import _ALIASES
 from anglekit.lint import (
     RULE_MAGNITUDE_AS_QUOTIENT,
     RULE_MISSING_REFERENCE_SYMBOL,
@@ -13,6 +14,7 @@ from anglekit.lint import (
     LintFinding,
     lint_text,
 )
+from anglekit.trig import FORWARD_KINDS, INVERSE_KINDS
 
 
 def rules_of(text):
@@ -37,6 +39,14 @@ class TestTrigArgumentRule:
 
     def test_inverse_trig_counts(self):
         assert rules_of("w = arcsin(1 rad)") == [(RULE_RAD_IN_TRIG_ARG, 1)]
+
+    @pytest.mark.parametrize("name", FORWARD_KINDS + INVERSE_KINDS)
+    def test_every_trig_function_is_checked(self, name):
+        assert rules_of(f"x = {name}(1 rad)") == [(RULE_RAD_IN_TRIG_ARG, 1)]
+
+    @pytest.mark.parametrize("spelling", sorted(_ALIASES))
+    def test_every_unit_spelling_is_a_quantity(self, spelling):
+        assert rules_of(f"x = sin(1 {spelling})") == [(RULE_RAD_IN_TRIG_ARG, 1)]
 
     def test_plain_number_argument_is_fine(self):
         assert rules_of("x = sin(0.5)") == []

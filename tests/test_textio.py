@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from anglekit.angles import (
+    _ALIASES,
     ARCMINUTE,
     ARCSECOND,
     BUILTIN_REFERENCES,
@@ -43,6 +44,11 @@ class TestParseAngleDecimal:
         assert lit.parsed.value == ExactScalar(180)
         assert lit.parsed.reference is DEGREE
         assert lit.parsed.value.is_exact
+
+    @pytest.mark.parametrize("spelling", sorted(_ALIASES))
+    def test_every_unit_spelling(self, spelling):
+        lit = parse_angle(f"1 {spelling}")
+        assert lit.parsed == AngleValue(ExactScalar(1), _ALIASES[spelling])
 
     def test_decimal_is_exact(self):
         lit = parse_angle("0.5 rad")
