@@ -24,6 +24,7 @@ from .errors import ExactOverflowError
 __all__ = [
     "ExactScalar",
     "PI_HIGH_PRECISION",
+    "pi_bits",
     "ZERO",
     "ONE",
     "PI",
@@ -31,13 +32,60 @@ __all__ = [
     "format_float",
 ]
 
-# π to 75 decimal places.  Enough head-room to order any pair of distinct
-# in-range exact values: with 64-bit components the smallest nonzero
-# difference between mixed-exponent values is far above 10**-60.
-PI_HIGH_PRECISION = Fraction(
-    3141592653589793238462643383279502884197169399375105820974944592307816406286,
-    10**75,
-)
+
+def _arccot(x: int, unity: int) -> tuple[int, int]:
+    """arccot(x)·unity by its Taylor series in integers, and an error bound.
+
+    Each term is truncated twice (by x² and by its odd divisor), so each
+    is off by less than 2; the tail left when the terms reach zero is
+    below 1.  The bound is in the same units as the result.
+    """
+    total = term = unity // x
+    x2 = x * x
+    divisor = 1
+    while term:
+        term //= x2
+        divisor += 2
+        total += -(term // divisor) if divisor % 4 == 3 else term // divisor
+    return total, divisor + 3
+
+
+_pi_cache = (0, 0)  # (bits, ⌊π·2^bits⌋): the one widest value made so far
+
+
+def pi_bits(bits: int) -> int:
+    """⌊π·2^bits⌋ exactly, for bits ≥ 0, from Machin's formula.
+
+    π = 16·arccot 5 − 4·arccot 239 is summed with guard bits, and the
+    floor is taken only once the error bound cannot straddle an integer,
+    so the result is exact, never just close.  One value is cached; a
+    wider request recomputes it at no less than twice the cached width,
+    so a run needs only a few evaluations however its widths grow.
+    """
+    global _pi_cache
+    cached_bits, cached = _pi_cache
+    if bits > cached_bits:
+        cached_bits = max(bits, 2 * cached_bits)
+        guard = cached_bits.bit_length() + 16
+        while True:
+            unity = 1 << (cached_bits + guard)
+            a, a_error = _arccot(5, unity)
+            b, b_error = _arccot(239, unity)
+            scaled = 16 * a - 4 * b
+            error = 16 * a_error + 4 * b_error
+            low, high = (scaled - error) >> guard, (scaled + error) >> guard
+            if low == high:
+                break
+            guard *= 2
+        cached = low
+        _pi_cache = (cached_bits, cached)
+    return cached >> (cached_bits - bits)
+
+
+# π to 256 bits, for ordering and converting exact values.  That bound
+# is asserted, not proved: with 64-bit components two distinct
+# mixed-exponent values are taken to differ by far more than 2^-256.
+PI_HIGH_PRECISION = Fraction(pi_bits(256), 1 << 256)
 
 _MAX_COMPONENT = 2**63 - 1
 
@@ -246,7 +294,8 @@ class ExactScalar:
     def compare(self, other) -> int:
         """Three-way comparison: −1, 0, or +1.
 
-        Same-exponent exact pairs compare by cross-multiplication.  Every
+        Exact pairs with the same exponent, or with a zero on either side
+        (where the signs decide), compare by cross-multiplication.  Every
         other pairing is decided through the high-precision π substitute,
         which cannot misorder representable values.  NaN refuses to order.
         """
@@ -256,7 +305,11 @@ class ExactScalar:
         if (
             self.is_exact
             and other.is_exact
-            and self.pi_exponent == other.pi_exponent
+            and (
+                self.pi_exponent == other.pi_exponent
+                or self.numerator == 0
+                or other.numerator == 0
+            )
         ):
             lhs = self.numerator * other.denominator
             rhs = other.numerator * self.denominator
@@ -271,6 +324,13 @@ class ExactScalar:
         coerced = self._coerce(other)
         if coerced is NotImplemented:
             return NotImplemented
+        if self.is_exact and coerced.is_exact:
+            # Normalized and π irrational: equal values have equal triples.
+            return (self.numerator, self.denominator, self.pi_exponent) == (
+                coerced.numerator,
+                coerced.denominator,
+                coerced.pi_exponent,
+            )
         try:
             return self.compare(coerced) == 0
         except ValueError:

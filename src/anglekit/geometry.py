@@ -99,25 +99,35 @@ def congruent(a: Magnitude, b: Magnitude, tolerance: float = 0.0) -> bool:
     return abs(va.to_float() - vb.to_float()) <= tolerance
 
 
+def _finite_length(length: float) -> float:
+    if not math.isfinite(length):
+        raise DomainError("length is outside float range")
+    return length
+
+
 def arc_length(arc: ArcSpec) -> float:
     """Arc length s = measure·radius.
 
     One multiplication, so s/r recovers the measure bit-for-bit whenever
-    the radius is a power of two, and to within 1 ulp otherwise.
+    the radius is a power of two, and to within 1 ulp otherwise.  A
+    length past the float range raises DomainError.
     """
-    return arc.measure.value.to_float() * arc.radius
+    return _finite_length(arc.measure.value.to_float() * arc.radius)
 
 
 def chord_length(angle: AngleValue, radius: float) -> float:
     """Chord subtended by `angle` on a circle of `radius`.
 
     The angle's measure must lie in [0, 2π]; the chord is 2r·sin(φ/2).
+    Doubling the sine rather than the radius is exact and cannot
+    overflow, so a zero angle gives 0.0 at any radius.  A length past
+    the float range raises DomainError.
     """
     check_radius(radius)
     phi = measure_of(angle).value
     if phi.compare(ZERO) < 0 or phi.compare(TWO_PI) > 0:
         raise RangeError("chord needs a measure in [0, 2π]")
-    return 2.0 * radius * math.sin(0.5 * phi.to_float())
+    return _finite_length(radius * (2.0 * math.sin(0.5 * phi.to_float())))
 
 
 def chord_integral(x: float) -> float:

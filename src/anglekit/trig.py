@@ -2,17 +2,18 @@
 
 A periodized sine with period p maps x to sin(2π·x/p): the familiar
 functions for p = 2π, degree-flavored ones for p = 360, and so on.  The
-argument is reduced modulo p in exact rational arithmetic, substituting a
-75-digit value for π, before any float trig runs.  That keeps periodicity
-exact (x and x + 10⁶·p produce the identical float) and keeps accuracy
-flat across the whole argument range instead of decaying with |x|.
+argument is reduced modulo p in integer arithmetic before any float trig
+runs: exactly for a rational period, and for a π period with as many
+bits of π as the size of x demands, so the reduced angle is correctly
+rounded for every finite float.  That keeps periodicity exact (x and
+x + 10⁶·p produce the identical float) and keeps accuracy flat across
+the whole argument range instead of decaying with |x|.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .angles import (
     BUILTIN_REFERENCES,
@@ -22,7 +23,7 @@ from .angles import (
     measure_of,
 )
 from .errors import DomainError, PoleError
-from .exact import PI_HIGH_PRECISION, ExactScalar
+from .exact import ExactScalar, pi_bits
 
 __all__ = [
     "FORWARD_KINDS",
@@ -39,6 +40,7 @@ __all__ = [
 FORWARD_KINDS = ("sin", "cos", "tan")
 INVERSE_KINDS = ("arcsin", "arccos")
 _POLE_TOLERANCE = 1e-10  # in reduced-radian space
+_GUARD_BITS = 128  # bits of π kept beyond the integer part of x/p
 
 
 @dataclass(frozen=True)
@@ -72,13 +74,53 @@ class UnitCirclePoint:
 def _scaled_argument(x: float, period: ExactScalar) -> float:
     """Reduce x modulo the period, then rescale into [0, 2π) radians.
 
-    All in Fraction arithmetic with the high-precision π substitute, so
-    the reduction itself introduces no rounding; the single float
-    rounding happens on the final value.
+    Integer arithmetic throughout, with π known to lie between
+    ⌊π·2^P⌋/2^P and the next step, from `pi_bits`.  Write x/p =
+    (num/den)·π^(−e) for the period's π exponent e, and θ = 2π·(x/p − k)
+    with k = ⌊x/p⌋.  For e = 0 the whole turns drop out exactly.
+    Otherwise k comes from the turn count in fixed point.  θ is then
+    bracketed by evaluating it at both ends of π's interval, with P
+    starting 128 bits past the integer part of x/p.  The bracket is
+    accepted once it lies in [0, 2π), so k was right, and both ends
+    round to the same float, which is then θ correctly rounded; else P
+    doubles.  θ is irrational for x ≠ 0 unless it is the exact 2x/p of
+    x in [0, p) with e = 1, where the bracket has zero width, so the
+    loop ends for every finite x.
     """
-    q = Fraction(x) / period._precise()
-    q -= math.floor(q)
-    return float(2 * PI_HIGH_PRECISION * q)
+    a, b = x.as_integer_ratio()
+    if a == 0:
+        return 0.0
+    e = period.pi_exponent
+    num, den = a * period.denominator, b * period.numerator
+    if e == 0:
+        num %= den
+        if num == 0:
+            return 0.0
+    bits = max(num.bit_length() - den.bit_length(), 0) + _GUARD_BITS
+    while True:
+        pi = pi_bits(bits)  # π·2^bits = Π lies in (pi, pi + 1)
+        # θ·(den << shift) is within error of middle, Π's error carried
+        # through a polynomial in Π: 2·num·Π, 2·num·2^bits − 2k·den·Π
+        # or (2·num·Π − 2k·den·2^bits)·Π.
+        if e == 0:
+            middle, error, shift = 2 * num * pi, 2 * num, bits
+        elif e == 1:
+            k = (num << bits) // (den * pi)
+            c1 = -2 * k * den
+            middle, error, shift = c1 * pi + ((2 * num) << bits), abs(c1), bits
+        else:
+            k = (num * pi) // (den << bits)
+            c2, c1 = 2 * num, (-2 * k * den) << bits
+            middle = (c2 * pi + c1) * pi
+            error, shift = abs(c2) * (2 * pi + 1) + abs(c1), 2 * bits
+        low, high = middle - error, middle + error
+        # (pi·den) << (shift − bits + 1) is below 2π·(den << shift).
+        if e == 0 or (low >= 0 and high < (pi * den) << (shift - bits + 1)):
+            scale = den << shift
+            theta = low / scale
+            if error == 0 or theta == high / scale:
+                return theta
+        bits *= 2
 
 
 def eval_periodized(f: PeriodizedFunction, x: float) -> float:

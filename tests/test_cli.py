@@ -451,6 +451,8 @@ ERROR_GOLDEN = [
     (["arc", "0°", "1"], 5, "error: arc measure must lie in (0, 2π]\n"),
     (["chord", "90°", "nan"], 4, "error: radius must be positive and finite\n"),
     (["chord", "370°", "1"], 5, "error: chord needs a measure in [0, 2π]\n"),
+    (["arc", "180°", "1e308"], 6, "error: length is outside float range\n"),
+    (["chord", "180°", "1e308"], 6, "error: length is outside float range\n"),
     (["add", "270°", "10°"], 6, "error: semigroup addition needs operands in (0, π]\n"),
     (["add", "0°", "10°"], 6, "error: a magnitude requires a measure in (0, 2π]\n"),
     (["points", "a", "0", "0", "0", "0", "1"], 2, "error: coordinate 'a' is not a number\n"),

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -282,6 +283,44 @@ def test_compare_matches_fraction_order(a, b):
     left = ExactScalar(a.numerator, a.denominator)
     right = ExactScalar(b.numerator, b.denominator)
     assert left.compare(right) == (a > b) - (a < b)
+
+
+_components = st.one_of(
+    st.just(0), st.integers(-50, 50), st.integers(-(2**63 - 1), 2**63 - 1)
+)
+exact_scalars = st.builds(
+    ExactScalar,
+    _components,
+    st.one_of(st.integers(1, 50), st.integers(1, 2**63 - 1)),
+    st.sampled_from((-1, 0, 1)),
+)
+
+
+def _order_oracle(a: ExactScalar, b: ExactScalar) -> int:
+    """Sign of a − b: exact in Fraction for one exponent, else mpmath at 300 digits."""
+    qa = Fraction(a.numerator, a.denominator)
+    qb = Fraction(b.numerator, b.denominator)
+    if a.pi_exponent == b.pi_exponent:
+        return (qa > qb) - (qa < qb)
+    with mpmath.workdps(300):
+        va = mpmath.mpf(qa.numerator) / qa.denominator * mpmath.pi**a.pi_exponent
+        vb = mpmath.mpf(qb.numerator) / qb.denominator * mpmath.pi**b.pi_exponent
+        return (va > vb) - (va < vb)
+
+
+@given(exact_scalars, exact_scalars, st.integers(1, 1000))
+def test_equality_and_compare_match_oracle(a, b, scale):
+    expected = _order_oracle(a, b)
+    assert a.compare(b) == expected
+    assert b.compare(a) == -expected
+    assert (a == b) == (expected == 0)
+    # The same value spelt with a common factor, and a zero of any exponent.
+    same = ExactScalar(a.numerator * scale, a.denominator * scale, b.pi_exponent)
+    assert (a == same) == (_order_oracle(a, same) == 0)
+    assert a.compare(same) == _order_oracle(a, same)
+    zero = ExactScalar(0, scale, b.pi_exponent)
+    assert zero == ZERO
+    assert a.compare(zero) == (a.numerator > 0) - (a.numerator < 0)
 
 
 def _ulp_distance(a: float, b: float) -> float:

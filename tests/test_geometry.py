@@ -169,7 +169,23 @@ class TestChord:
         assert abs(chord_length(angle, 1.0)) < 1e-15
 
     def test_zero_angle_has_zero_chord(self):
-        assert chord_length(AngleValue(ExactScalar(0), DEGREE), 5.0) == 0.0
+        for radius in (5.0, 1e308, 1.7976931348623157e308):
+            assert chord_length(AngleValue(ExactScalar(0), DEGREE), radius) == 0.0
+
+    @given(
+        st.floats(min_value=5e-324, max_value=1e300),
+        st.floats(min_value=0.0, max_value=2 * math.pi),
+    )
+    def test_chord_is_twice_the_radius_times_the_sine(self, radius, phi):
+        angle = AngleValue(ExactScalar.inexact(phi), RADIAN)
+        assert chord_length(angle, radius) == 2.0 * radius * math.sin(0.5 * phi)
+
+    def test_lengths_past_float_range_raise(self):
+        with pytest.raises(DomainError, match="length is outside float range"):
+            chord_length(AngleValue(ExactScalar(180), DEGREE), 1e308)
+        with pytest.raises(DomainError, match="length is outside float range"):
+            arc_length(ArcSpec(1e308, Measure(PI)))
+        assert arc_length(ArcSpec(1e308, Measure(ONE))) == 1e308
 
     def test_radius_validation(self):
         with pytest.raises(DomainError):
