@@ -16,11 +16,10 @@ they multiply by a ratio of two exact scalars, which stays inside the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, RangeError
-from .exact import PI, TWO_PI, ZERO, ExactScalar
+from .exact import PI, TWO_PI, ZERO, ExactScalar, Record
 
 __all__ = [
     "ReferenceAngle",
@@ -58,16 +57,16 @@ def check_full_circle(value: object) -> None:
         raise DomainError("period must be positive")
 
 
-@dataclass(frozen=True)
-class ReferenceAngle:
+class ReferenceAngle(Record):
     """A named unit angle: `full_circle` of them make one revolution."""
 
-    name: str
-    symbol: str
-    full_circle: ExactScalar
+    __slots__ = ("name", "symbol", "full_circle")
 
-    def __post_init__(self):
-        check_full_circle(self.full_circle)
+    def __init__(self, name: str, symbol: str, full_circle: ExactScalar):
+        check_full_circle(full_circle)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "symbol", symbol)
+        object.__setattr__(self, "full_circle", full_circle)
 
     def __str__(self):
         return self.symbol
@@ -103,26 +102,30 @@ def ascii_symbol(reference: ReferenceAngle) -> str:
     return _ASCII_SYMBOLS.get(reference.symbol, reference.symbol)
 
 
-@dataclass(frozen=True)
-class AngleValue:
+class AngleValue(Record):
     """A numerical value read against a reference angle."""
 
-    value: ExactScalar
-    reference: ReferenceAngle
+    __slots__ = ("value", "reference")
+
+    def __init__(self, value: ExactScalar, reference: ReferenceAngle):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "reference", reference)
 
     def __str__(self):
         return f"{self.value} {self.reference.symbol}"
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(Record):
     """A dimensionless angle measure.
 
     This type never prints a unit symbol: its value already is the
     radian-scaled ratio, and tagging one on would double-count.
     """
 
-    value: ExactScalar
+    __slots__ = ("value",)
+
+    def __init__(self, value: ExactScalar):
+        object.__setattr__(self, "value", value)
 
     def __str__(self):
         return str(self.value)
@@ -133,19 +136,19 @@ def in_magnitude_range(value: ExactScalar) -> bool:
     return value.compare(ZERO) > 0 and value.compare(TWO_PI) <= 0
 
 
-@dataclass(frozen=True)
-class Magnitude:
+class Magnitude(Record):
     """A geometric angle: a measure constrained to (0, 2π].
 
     The lower bound is strict because coincident rays bound no angle; the
     upper bound is inclusive because the full circle is one.
     """
 
-    measure: Measure
+    __slots__ = ("measure",)
 
-    def __post_init__(self):
-        if not in_magnitude_range(self.measure.value):
+    def __init__(self, measure: Measure):
+        if not in_magnitude_range(measure.value):
             raise DomainError("a magnitude requires a measure in (0, 2π]")
+        object.__setattr__(self, "measure", measure)
 
     def __str__(self):
         return str(self.measure)

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import ExactOverflowError
 
 __all__ = [
     "ExactScalar",
+    "Record",
     "PI_HIGH_PRECISION",
     "pi_bits",
     "ZERO",
@@ -104,6 +106,37 @@ def format_float(value: float, digits: int = 17) -> str:
     return f"{value:.{digits}g}"
 
 
+class Record:
+    """Immutable value whose `__slots__`, base first, drive ==, hash, repr and pickling."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = cls._fields = getattr(cls, "_fields", ()) + cls.__dict__.get("__slots__", ())
+        get = attrgetter(*fields)  # a bare value, not a 1-tuple, for one field
+        cls._values = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
 class ExactScalar:
     """Immutable scalar: (numerator/denominator)·π^pi_exponent, or a float.
 
@@ -150,8 +183,12 @@ class ExactScalar:
         object.__setattr__(obj, "inexact_value", float(value))
         return obj
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactScalar is immutable")
+    __setattr__ = __delattr__ = Record.__setattr__
+
+    def __reduce__(self):
+        if self.is_exact:
+            return ExactScalar, (self.numerator, self.denominator, self.pi_exponent)
+        return ExactScalar.inexact, (self.inexact_value,)
 
     # ------------------------------------------------------------------
     # basic queries

@@ -11,11 +11,10 @@ the endpoint x = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .angles import AngleValue, Magnitude, Measure, in_magnitude_range, measure_of
 from .errors import DegenerateVertexError, DomainError, RadiusError, RangeError, ZeroAngleError
-from .exact import TWO_PI, ZERO, ExactScalar
+from .exact import TWO_PI, ZERO, ExactScalar, Record
 from .quadrature import integrate
 
 __all__ = [
@@ -32,14 +31,14 @@ __all__ = [
 _DEGENERACY_THRESHOLD = 1e-12  # relative to the longer ray
 
 
-@dataclass(frozen=True)
-class PlanarPoint:
-    x: float
-    y: float
+class PlanarPoint(Record):
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+    def __init__(self, x: float, y: float):
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise DomainError("planar points need finite coordinates")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
 def check_radius(radius: float) -> None:
@@ -48,17 +47,17 @@ def check_radius(radius: float) -> None:
         raise RadiusError("radius must be positive and finite")
 
 
-@dataclass(frozen=True)
-class ArcSpec:
+class ArcSpec(Record):
     """A circular arc: positive radius plus a magnitude-range measure."""
 
-    radius: float
-    measure: Measure
+    __slots__ = ("radius", "measure")
 
-    def __post_init__(self):
-        check_radius(self.radius)
-        if not in_magnitude_range(self.measure.value):
+    def __init__(self, radius: float, measure: Measure):
+        check_radius(radius)
+        if not in_magnitude_range(measure.value):
             raise RangeError("arc measure must lie in (0, 2π]")
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "measure", measure)
 
 
 def angle_from_points(p: PlanarPoint, vertex: PlanarPoint, q: PlanarPoint) -> Magnitude:
@@ -120,13 +119,16 @@ def chord_length(angle: AngleValue, radius: float) -> float:
 
     The angle's measure must lie in [0, 2π]; the chord is 2r·sin(φ/2).
     Doubling the sine rather than the radius is exact and cannot
-    overflow, so a zero angle gives 0.0 at any radius.  A length past
-    the float range raises DomainError.
+    overflow, so a zero angle gives 0.0 at any radius, and so does the
+    exact full circle.  A length past the float range raises DomainError.
     """
     check_radius(radius)
     phi = measure_of(angle).value
-    if phi.compare(ZERO) < 0 or phi.compare(TWO_PI) > 0:
+    against_full = phi.compare(TWO_PI)
+    if phi.compare(ZERO) < 0 or against_full > 0:
         raise RangeError("chord needs a measure in [0, 2π]")
+    if against_full == 0:
+        return 0.0  # 2r·sin of the rounded π is 2.4e-16·r, not 0
     return _finite_length(radius * (2.0 * math.sin(0.5 * phi.to_float())))
 
 

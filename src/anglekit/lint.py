@@ -21,9 +21,9 @@ exception; the linter never raises on input text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError
+from .exact import Record
 from .textio import (
     BinaryOperation,
     ExpressionNode,
@@ -64,15 +64,17 @@ _STATEMENT_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class LintFinding:
+class LintFinding(Record):
     """One diagnostic: rule id (None for syntax), 1-based line/column."""
 
-    rule: str | None
-    line: int
-    column: int
-    message: str
-    excerpt: str
+    __slots__ = ("rule", "line", "column", "message", "excerpt")
+
+    def __init__(self, rule: str | None, line: int, column: int, message: str, excerpt: str):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "excerpt", excerpt)
 
 
 def lint_text(text: str) -> list[LintFinding]:

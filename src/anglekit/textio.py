@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .angles import (
     _ALIASES,
@@ -48,7 +47,7 @@ from .errors import (
     UnknownUnitError,
     UnsupportedFormError,
 )
-from .exact import PI, ExactScalar, format_float
+from .exact import PI, ExactScalar, Record, format_float
 from .trig import FORWARD_KINDS, INVERSE_KINDS
 
 __all__ = [
@@ -93,13 +92,15 @@ _UNIT_TOKENS = sorted(_ALIASES, key=len, reverse=True)
 _UNIT_SYMBOLS = tuple(token for token in _ALIASES if not token.isalpha())  # °′″
 
 
-@dataclass(frozen=True)
-class AngleLiteral:
+class AngleLiteral(Record):
     """A parsed angle: the raw text, its value, and the form it used."""
 
-    raw: str
-    parsed: AngleValue
-    form: str
+    __slots__ = ("raw", "parsed", "form")
+
+    def __init__(self, raw: str, parsed: AngleValue, form: str):
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "parsed", parsed)
+        object.__setattr__(self, "form", form)
 
 
 # ----------------------------------------------------------------------
@@ -467,39 +468,56 @@ def _format_dms(angle: AngleValue, digits: int, ascii_only: bool) -> str:
 # expression language
 
 
-@dataclass(frozen=True)
-class ExpressionNode:
-    position: int
+class ExpressionNode(Record):
+    __slots__ = ("position",)
+
+    def __init__(self, position: int):
+        object.__setattr__(self, "position", position)
 
 
-@dataclass(frozen=True)
 class NumberLiteral(ExpressionNode):
-    value: ExactScalar
+    __slots__ = ("value",)
+
+    def __init__(self, position: int, value: ExactScalar):
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
 class QuantityLiteral(ExpressionNode):
-    value: ExactScalar
-    reference: ReferenceAngle
-    unit_text: str
+    __slots__ = ("value", "reference", "unit_text")
+
+    def __init__(self, position: int, value: ExactScalar, reference: ReferenceAngle, unit_text: str):
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "reference", reference)
+        object.__setattr__(self, "unit_text", unit_text)
 
 
-@dataclass(frozen=True)
 class Identifier(ExpressionNode):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, position: int, name: str):
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
 class FunctionApplication(ExpressionNode):
-    name: str
-    argument: ExpressionNode
+    __slots__ = ("name", "argument")
+
+    def __init__(self, position: int, name: str, argument: ExpressionNode):
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "argument", argument)
 
 
-@dataclass(frozen=True)
 class BinaryOperation(ExpressionNode):
-    operator: str  # one of + * / =
-    left: ExpressionNode
-    right: ExpressionNode
+    __slots__ = ("operator", "left", "right")
+
+    def __init__(self, position: int, operator: str, left: ExpressionNode, right: ExpressionNode):
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "operator", operator)  # one of + * / =
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 def walk(node: ExpressionNode):
@@ -520,11 +538,8 @@ def walk(node: ExpressionNode):
             stack.append(node.argument)
 
 
-class _Token(NamedTuple):
-    kind: str  # NUMBER WORD UNIT OP END
-    text: str
-    position: int
-    value: ExactScalar | None = None
+# kind is one of NUMBER WORD UNIT OP END; value is the ExactScalar of a NUMBER
+_Token = namedtuple("_Token", "kind text position value", defaults=(None,))
 
 
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

@@ -13,7 +13,6 @@ the whole argument range instead of decaying with |x|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .angles import (
     BUILTIN_REFERENCES,
@@ -23,7 +22,7 @@ from .angles import (
     measure_of,
 )
 from .errors import DomainError, PoleError
-from .exact import ExactScalar, pi_bits
+from .exact import ExactScalar, Record, pi_bits
 
 __all__ = [
     "FORWARD_KINDS",
@@ -43,32 +42,32 @@ _POLE_TOLERANCE = 1e-10  # in reduced-radian space
 _GUARD_BITS = 128  # bits of π kept beyond the integer part of x/p
 
 
-@dataclass(frozen=True)
-class PeriodizedFunction:
+class PeriodizedFunction(Record):
     """One of sin/cos/tan rescaled to an exact positive period."""
 
-    kind: str
-    period: ExactScalar
+    __slots__ = ("kind", "period")
 
-    def __post_init__(self):
-        if self.kind not in FORWARD_KINDS:
+    def __init__(self, kind: str, period: ExactScalar):
+        if kind not in FORWARD_KINDS:
             raise ValueError(f"kind must be one of {FORWARD_KINDS}")
-        check_full_circle(self.period)
+        check_full_circle(period)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "period", period)
 
     def __call__(self, x: float) -> float:
         return eval_periodized(self, x)
 
 
-@dataclass(frozen=True)
-class UnitCirclePoint:
+class UnitCirclePoint(Record):
     """A point constrained to the unit circle."""
 
-    re: float
-    im: float
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        if abs(self.re * self.re + self.im * self.im - 1.0) > 1e-12:
+    def __init__(self, re: float, im: float):
+        if abs(re * re + im * im - 1.0) > 1e-12:
             raise ValueError("point is off the unit circle")
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
 
 def _scaled_argument(x: float, period: ExactScalar) -> float:

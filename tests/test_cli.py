@@ -152,6 +152,10 @@ class TestArcAndChord:
         assert code == 0
         assert float(out) == pytest.approx(2.0, abs=1e-15)
 
+    def test_full_circle_chord_is_zero(self, run_cli):
+        assert run_cli("chord", "360°", "1") == (0, "0\n", "")
+        assert run_cli("chord", "2pi rad", "1e308") == (0, "0\n", "")
+
     def test_chord_rejects_oversized_angle(self, run_cli):
         code, _, _ = run_cli("chord", "370°", "1")
         assert code == 5

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import anglekit.geometry
 import anglekit.quadrature
-from anglekit.angles import DEGREE, RADIAN, AngleValue, Magnitude, Measure
+from anglekit.angles import DEGREE, RADIAN, TURN, AngleValue, Magnitude, Measure
 from anglekit.errors import DegenerateVertexError, DomainError, ZeroAngleError
 from anglekit.exact import ONE, PI, TWO_PI, ExactScalar
 from anglekit.geometry import (
@@ -167,6 +167,12 @@ class TestChord:
     def test_full_circle_closes(self):
         angle = AngleValue(ExactScalar(360), DEGREE)
         assert abs(chord_length(angle, 1.0)) < 1e-15
+
+    def test_exact_full_circle_has_zero_chord(self):
+        # sin(π) of the rounded π is 1.2e-16, which would scale with r.
+        assert chord_length(AngleValue(ExactScalar(360), DEGREE), 1.0) == 0.0
+        assert chord_length(AngleValue(TWO_PI, RADIAN), 1e308) == 0.0
+        assert chord_length(AngleValue(ExactScalar(1), TURN), 5.0) == 0.0
 
     def test_zero_angle_has_zero_chord(self):
         for radius in (5.0, 1e308, 1.7976931348623157e308):
