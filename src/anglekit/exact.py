@@ -6,7 +6,8 @@ the few operations that cannot stay exact (mixed-exponent sums, products
 whose π exponent would leave the representable range).  Inexactness is
 contagious through arithmetic but never silent: `is_exact` always tells
 the truth, and nothing ever rounds an exact value behind the caller's
-back.
+back.  Ordering and float conversion are decided in integers against
+`pi_bits` brackets of π, so both are exact by proof.
 
 Exact components are bounded to 64 bits after normalization.  Python
 integers would happily grow past that, but a component that large means
@@ -25,7 +26,6 @@ from .errors import ExactOverflowError
 __all__ = [
     "ExactScalar",
     "Record",
-    "PI_HIGH_PRECISION",
     "pi_bits",
     "ZERO",
     "ONE",
@@ -84,12 +84,28 @@ def pi_bits(bits: int) -> int:
     return cached >> (cached_bits - bits)
 
 
-# π to 256 bits, for ordering and converting exact values.  That bound
-# is asserted, not proved: with 64-bit components two distinct
-# mixed-exponent values are taken to differ by far more than 2^-256.
-PI_HIGH_PRECISION = Fraction(pi_bits(256), 1 << 256)
+def _pi_order(a: int, b: int, k: int) -> int:
+    """Sign of a·π^k − b, for positive integers a, b and k in {±1, ±2}.
+
+    π·2^P lies strictly between ⌊π·2^P⌋ and the next integer, so raising
+    both ends to the k-th power brackets a·π^k; P doubles until b falls
+    outside the bracket.  π^k is irrational, so the sign is never 0 and
+    the loop ends.
+    """
+    if k < 0:
+        return -_pi_order(b, a, -k)
+    bits = 64
+    while True:
+        low = pi_bits(bits)
+        scaled = b << (bits * k)
+        if a * low**k >= scaled:
+            return 1
+        if a * (low + 1) ** k <= scaled:
+            return -1
+        bits *= 2
 
 _MAX_COMPONENT = 2**63 - 1
+_triple = attrgetter("numerator", "denominator", "pi_exponent")
 
 
 def format_float(value: float, digits: int = 17) -> str:
@@ -187,7 +203,7 @@ class ExactScalar:
 
     def __reduce__(self):
         if self.is_exact:
-            return ExactScalar, (self.numerator, self.denominator, self.pi_exponent)
+            return ExactScalar, _triple(self)
         return ExactScalar.inexact, (self.inexact_value,)
 
     # ------------------------------------------------------------------
@@ -209,34 +225,37 @@ class ExactScalar:
     def to_float(self) -> float:
         """Correctly rounded float conversion.
 
-        π-carrying values are evaluated through the high-precision π
-        substitute, so only the final float conversion rounds.  Chaining
-        float operations instead (multiply by π, then divide) can drift
-        2 ulp from the correctly rounded value, which is too sloppy for
-        a type whose whole point is accounting for every rounding.
+        A π-carrying value is bracketed in integers by the two ends of
+        π's `pi_bits` interval, and the bracket widens π's bits until
+        both ends round to the same float.  Integer true division rounds
+        correctly, so that float is the correctly rounded value.
+        Chaining float operations instead (multiply by π, then divide)
+        can drift 2 ulp, which is too sloppy for a type whose whole point
+        is accounting for every rounding.
         """
         if not self.is_exact:
             return self.inexact_value
-        if self.pi_exponent == 0:
-            return self.numerator / self.denominator
-        return float(self._precise())
+        n, d, e = self.numerator, self.denominator, self.pi_exponent
+        if e == 0:
+            return n / d
+        bits = 64
+        while True:
+            low = pi_bits(bits)
+            if e == 1:
+                value, other_end = n * low / (d << bits), n * (low + 1) / (d << bits)
+            else:
+                value, other_end = (n << bits) / (d * low), (n << bits) / (d * (low + 1))
+            if value == other_end:
+                return value
+            bits *= 2
 
-    def _precise(self):
-        """High-precision value: a Fraction, or the raw float if non-finite.
-
-        Exact values substitute PI_HIGH_PRECISION for π, which preserves
-        the ordering of any two distinct representable values.
-        """
+    def _ratio(self):
+        """(n, d, π exponent) of an exact value or a finite float; None for inf and NaN."""
         if self.is_exact:
-            q = Fraction(self.numerator, self.denominator)
-            if self.pi_exponent == 1:
-                return q * PI_HIGH_PRECISION
-            if self.pi_exponent == -1:
-                return q / PI_HIGH_PRECISION
-            return q
-        if math.isinf(self.inexact_value) or math.isnan(self.inexact_value):
-            return self.inexact_value
-        return Fraction(self.inexact_value)
+            return _triple(self)
+        if math.isfinite(self.inexact_value):
+            return (*self.inexact_value.as_integer_ratio(), 0)
+        return None
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -328,48 +347,56 @@ class ExactScalar:
     # ------------------------------------------------------------------
     # comparison
 
-    def compare(self, other) -> int:
-        """Three-way comparison: −1, 0, or +1.
+    def _comparable(self, value):
+        """`value` as a scalar for ordering and equality: unlike arithmetic,
+        these also take a float, which stands for its exact binary value."""
+        if isinstance(value, ExactScalar):
+            return value
+        if isinstance(value, float):
+            return ExactScalar.inexact(value)
+        return self._coerce(value)
 
-        Exact pairs with the same exponent, or with a zero on either side
-        (where the signs decide), compare by cross-multiplication.  Every
-        other pairing is decided through the high-precision π substitute,
-        which cannot misorder representable values.  NaN refuses to order.
+    def compare(self, other) -> int:
+        """Three-way comparison: −1, 0, or +1, decided in integers.
+
+        A finite float counts as its exact binary value.  Equal exponents,
+        or a zero on either side, compare by cross-multiplication; other
+        exponents compare against `pi_bits` brackets of π, refined until
+        they decide.  Two floats, or an infinity, compare as floats, and
+        NaN refuses to order.
         """
-        other = self._coerce(other)
-        if other is NotImplemented:
+        operand = self._comparable(other)
+        if operand is NotImplemented:
             raise TypeError(f"cannot compare ExactScalar with {type(other).__name__}")
-        if (
-            self.is_exact
-            and other.is_exact
-            and (
-                self.pi_exponent == other.pi_exponent
-                or self.numerator == 0
-                or other.numerator == 0
-            )
-        ):
-            lhs = self.numerator * other.denominator
-            rhs = other.numerator * self.denominator
+        if self.inexact_value is None and operand.inexact_value is None:
+            n1, d1, e1 = self.numerator, self.denominator, self.pi_exponent
+            n2, d2, e2 = operand.numerator, operand.denominator, operand.pi_exponent
+        else:
+            one_exact = self.is_exact or operand.is_exact
+            left, right = (self._ratio(), operand._ratio()) if one_exact else (None, None)
+            if left is None or right is None:
+                a, b = self.to_float(), operand.to_float()
+                if a != a or b != b:
+                    raise ValueError("cannot order NaN")
+                return (a > b) - (a < b)
+            (n1, d1, e1), (n2, d2, e2) = left, right
+        lhs, rhs = n1 * d2, n2 * d1
+        if e1 == e2 or not n1 or not n2:
             return (lhs > rhs) - (lhs < rhs)
-        a = self._precise()
-        b = other._precise()
-        if isinstance(a, float) and math.isnan(a) or isinstance(b, float) and math.isnan(b):
-            raise ValueError("cannot order NaN")
-        return (a > b) - (a < b)
+        sign = 1 if n1 > 0 else -1
+        if (n2 > 0) != (n1 > 0):
+            return sign
+        return sign * _pi_order(abs(lhs), abs(rhs), e1 - e2)
 
     def __eq__(self, other):
-        coerced = self._coerce(other)
-        if coerced is NotImplemented:
+        operand = self._comparable(other)
+        if operand is NotImplemented:
             return NotImplemented
-        if self.is_exact and coerced.is_exact:
+        if self.inexact_value is None and operand.inexact_value is None:
             # Normalized and π irrational: equal values have equal triples.
-            return (self.numerator, self.denominator, self.pi_exponent) == (
-                coerced.numerator,
-                coerced.denominator,
-                coerced.pi_exponent,
-            )
+            return _triple(self) == _triple(operand)
         try:
-            return self.compare(coerced) == 0
+            return self.compare(operand) == 0
         except ValueError:
             return False
 
@@ -387,12 +414,12 @@ class ExactScalar:
 
     def __hash__(self):
         # Equal values must hash equal: exact π-free values equal ints,
-        # Fractions, and (when representable) floats, so defer to
-        # Fraction's hash; π-carrying values only ever equal each other.
+        # Fractions and floats of the same value, so defer to Fraction's
+        # hash; π-carrying values only ever equal each other.
         if self.is_exact:
             if self.pi_exponent == 0:
                 return hash(Fraction(self.numerator, self.denominator))
-            return hash((self.numerator, self.denominator, self.pi_exponent))
+            return hash(_triple(self))
         return hash(self.inexact_value)
 
     def __bool__(self):

@@ -64,7 +64,7 @@ class UnitCirclePoint(Record):
     __slots__ = ("re", "im")
 
     def __init__(self, re: float, im: float):
-        if abs(re * re + im * im - 1.0) > 1e-12:
+        if not abs(re * re + im * im - 1.0) <= 1e-12:  # NaN and inf fail too
             raise ValueError("point is off the unit circle")
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)

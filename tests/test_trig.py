@@ -187,6 +187,14 @@ class TestPhase:
         with pytest.raises(ValueError):
             UnitCirclePoint(1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "re, im",
+        [(math.nan, math.nan), (math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0), (-math.inf, math.inf)],
+    )
+    def test_unit_circle_point_rejects_nan_and_inf(self, re, im):
+        with pytest.raises(ValueError):
+            UnitCirclePoint(re, im)
+
 
 class TestReferenceForPeriod:
     def test_builtin_periods_map_to_builtin_references(self):
