@@ -40,7 +40,6 @@ __all__ = [
     "ascii_symbol",
     "convert",
     "measure_of",
-    "value_from_measure",
     "reduce_principal",
     "classify",
     "semigroup_add",
@@ -184,11 +183,6 @@ def convert(angle: AngleValue, target: ReferenceAngle) -> AngleValue:
 def measure_of(angle: AngleValue) -> Measure:
     """The dimensionless measure 2π·value/full_circle."""
     return Measure(angle.value * (TWO_PI / angle.reference.full_circle))
-
-
-def value_from_measure(measure: Measure, reference: ReferenceAngle) -> AngleValue:
-    """Inverse of measure_of: value = measure·full_circle/2π."""
-    return AngleValue(measure.value * (reference.full_circle / TWO_PI), reference)
 
 
 def semigroup_add(a: Magnitude, b: Magnitude) -> Magnitude:

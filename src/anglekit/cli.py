@@ -20,6 +20,7 @@ Exit codes (an error's exit code is the `exit_code` of its class):
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .angles import (
@@ -70,17 +71,20 @@ class _Failure(AngleKitError):
         self.exit_code = exit_code
 
 
+# argparse reads a token that starts with "-" as an option unless its
+# `_negative_number_matcher` calls it a negative number: only `-12` or
+# `-1.5` before Python 3.13, whose matcher is `-\.?\d`.  A signed angle
+# ("-30°", "-π/6 rad", "-pi/6") is an operand too, so each subparser
+# takes every token that starts with "-" and then a digit, a point, π or
+# pi as one.  No option of ours is spelled that way.
+_SIGNED_OPERAND = re.compile(r"-(\d|\.|π|pi)")
+
+
 def _digits_arg(text: str) -> int:
     value = int(text)
     if not 1 <= value <= 17:
         raise argparse.ArgumentTypeError("digits must be between 1 and 17")
     return value
-
-
-def _scalar_text(value: ExactScalar, args) -> str:
-    if value.is_exact:
-        return value.render(ascii_only=args.ascii)
-    return format_float(value.inexact_value, args.digits)
 
 
 def _unit_text(reference, args) -> str:
@@ -140,7 +144,7 @@ def _cmd_convert(args) -> int:
     angle = _parse_angle_arg(args.angle)
     target = _resolve_unit(args.unit)
     result = convert(angle, target)
-    body = _scalar_text(result.value, args)
+    body = result.value.render(args.ascii, args.digits)
     unit = _unit_text(target, args)
     _emit(
         args,
@@ -157,7 +161,7 @@ def _cmd_convert(args) -> int:
 def _cmd_measure(args) -> int:
     angle = _parse_angle_arg(args.angle)
     measure = measure_of(angle)
-    body = _scalar_text(measure.value, args)
+    body = measure.value.render(args.ascii, args.digits)
     _emit(
         args,
         body,
@@ -179,7 +183,7 @@ def _cmd_arc(args) -> int:
     human = body
     exact_length = _exact_arc_length(measure.value, args.radius)
     if exact_length is not None:
-        symbolic = exact_length.render(ascii_only=args.ascii)
+        symbolic = exact_length.render(args.ascii)
         human = f"{body} (exactly {symbolic})"
         records.append(("exact", symbolic))
     _emit(args, human, records)
@@ -199,7 +203,7 @@ def _cmd_add(args) -> int:
     first = _parse_angle_arg(args.first)
     second = _parse_angle_arg(args.second)
     total = semigroup_add(Magnitude(measure_of(first)), Magnitude(measure_of(second)))
-    body = _scalar_text(total.measure.value, args)
+    body = total.measure.value.render(args.ascii, args.digits)
     _emit(
         args,
         body,
@@ -237,7 +241,7 @@ def _cmd_trig(args) -> int:
         _emit(args, body, [("value", body)])
         return EXIT_OK
     result = eval_inverse(args.function, period, x)
-    body = _scalar_text(result.value, args)
+    body = result.value.render(args.ascii, args.digits)
     unit = _unit_text(result.reference, args)
     _emit(
         args,
@@ -275,7 +279,7 @@ def _cmd_table(args) -> int:
     for source in BUILTIN_REFERENCES:
         for target in BUILTIN_REFERENCES:
             factor = target.full_circle / source.full_circle
-            cells[(source.name, target.name)] = factor.render(ascii_only=args.ascii)
+            cells[(source.name, target.name)] = factor.render(args.ascii)
     if args.format == "records":
         for source in names:
             for target in names:
@@ -292,22 +296,21 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    if args.path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.path == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise _Failure(EXIT_PARSE, f"cannot read {args.path!r}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _Failure(EXIT_PARSE, f"cannot read {args.path!r}: {exc}") from None
     findings = lint_text(text)
     for finding in findings:
         rule = finding.rule or "syntax"
-        line = f"{finding.line}:{finding.column}: {rule}: {finding.message}"
         if args.format == "records":
             print(f"finding={finding.line}:{finding.column}:{rule}:{finding.message}")
         else:
-            print(line)
+            print(f"{finding.line}:{finding.column}: {rule}: {finding.message}")
     return EXIT_LINT if findings else EXIT_OK
 
 
@@ -342,51 +345,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("convert", parents=[common], help="re-express an angle in another unit")
-    p.add_argument("angle")
-    p.add_argument("unit")
-    p.set_defaults(func=_cmd_convert)
-
-    p = sub.add_parser("measure", parents=[common], help="dimensionless measure of an angle")
-    p.add_argument("angle")
-    p.set_defaults(func=_cmd_measure)
-
-    p = sub.add_parser("arc", parents=[common], help="arc length measure*radius")
-    p.add_argument("angle")
-    p.add_argument("radius")
-    p.set_defaults(func=_cmd_arc)
-
-    p = sub.add_parser("chord", parents=[common], help="chord length 2r*sin(measure/2)")
-    p.add_argument("angle")
-    p.add_argument("radius")
-    p.set_defaults(func=_cmd_chord)
-
-    p = sub.add_parser("add", parents=[common], help="semigroup sum of two magnitudes")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=_cmd_add)
-
-    p = sub.add_parser("points", parents=[common], help="angle between rays vertex->p and vertex->q")
-    for name in ("px", "py", "vx", "vy", "qx", "qy"):
-        p.add_argument(name)
-    p.set_defaults(func=_cmd_points)
-
-    p = sub.add_parser("trig", parents=[common], help="periodized trig functions")
-    p.add_argument("function", choices=FORWARD_KINDS + INVERSE_KINDS)
-    p.add_argument("argument")
-    p.add_argument("--period", default="2pi", help="full circle (exact number, default 2pi)")
-    p.set_defaults(func=_cmd_trig)
-
-    p = sub.add_parser("classify", parents=[common], help="name the range an angle falls in")
-    p.add_argument("angle")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("table", parents=[common], help="builtin unit conversion factors")
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("lint", parents=[common], help="lint a file of angle statements ('-' for stdin)")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_lint)
+    commands = [
+        ("convert", _cmd_convert, "re-express an angle in another unit", "angle unit"),
+        ("measure", _cmd_measure, "dimensionless measure of an angle", "angle"),
+        ("arc", _cmd_arc, "arc length measure*radius", "angle radius"),
+        ("chord", _cmd_chord, "chord length 2r*sin(measure/2)", "angle radius"),
+        ("add", _cmd_add, "semigroup sum of two magnitudes", "first second"),
+        ("points", _cmd_points, "angle between rays vertex->p and vertex->q", "px py vx vy qx qy"),
+        ("trig", _cmd_trig, "periodized trig functions", "function argument"),
+        ("classify", _cmd_classify, "name the range an angle falls in", "angle"),
+        ("table", _cmd_table, "builtin unit conversion factors", ""),
+        ("lint", _cmd_lint, "lint a file of angle statements ('-' for stdin)", "path"),
+    ]
+    for name, handler, help_text, operands in commands:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p._negative_number_matcher = _SIGNED_OPERAND
+        for operand in operands.split():
+            choices = FORWARD_KINDS + INVERSE_KINDS if operand == "function" else None
+            p.add_argument(operand, choices=choices)
+        if name == "trig":
+            p.add_argument("--period", default="2pi", help="full circle (exact number, default 2pi)")
+        p.set_defaults(func=handler)
 
     return parser
 

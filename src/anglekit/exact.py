@@ -428,14 +428,14 @@ class ExactScalar:
     # ------------------------------------------------------------------
     # rendering
 
-    def render(self, ascii_only: bool = False) -> str:
+    def render(self, ascii_only: bool = False, digits: int = 17) -> str:
         """Human form: "3π/4", "π", "42", "7/2", "1/(2π)", "180/π".
 
-        Inexact values render as a shortest-form float.  With
-        `ascii_only` the π glyph becomes "pi".
+        Inexact values render through `format_float` with `digits`
+        significant digits.  With `ascii_only` the π glyph becomes "pi".
         """
         if not self.is_exact:
-            return format_float(self.inexact_value)
+            return format_float(self.inexact_value, digits)
         pi_text = "pi" if ascii_only else "π"
         n, d, e = self.numerator, self.denominator, self.pi_exponent
         if e == 0:

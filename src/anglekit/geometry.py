@@ -22,7 +22,6 @@ __all__ = [
     "ArcSpec",
     "check_radius",
     "angle_from_points",
-    "congruent",
     "arc_length",
     "chord_length",
     "chord_integral",
@@ -82,20 +81,6 @@ def angle_from_points(p: PlanarPoint, vertex: PlanarPoint, q: PlanarPoint) -> Ma
     if phi <= 0.0:
         raise ZeroAngleError("rays point the same way; no angle between them")
     return Magnitude(Measure(ExactScalar.inexact(phi)))
-
-
-def congruent(a: Magnitude, b: Magnitude, tolerance: float = 0.0) -> bool:
-    """Whether two magnitudes are the same angle.
-
-    With the default zero tolerance, exact operands compare exactly.
-    """
-    if tolerance < 0.0 or not math.isfinite(tolerance):
-        raise ValueError("tolerance must be a finite non-negative float")
-    va = a.measure.value
-    vb = b.measure.value
-    if tolerance == 0.0:
-        return va.compare(vb) == 0
-    return abs(va.to_float() - vb.to_float()) <= tolerance
 
 
 def _finite_length(length: float) -> float:

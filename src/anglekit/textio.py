@@ -372,16 +372,9 @@ def format_angle(
     if form == "dms":
         return _format_dms(angle, digits, ascii_only)
     unit = ascii_symbol(angle.reference) if ascii_only else angle.reference.symbol
-    value = angle.value
-    if form == "symbolic_pi" or not value.is_exact:
-        if value.is_exact:
-            body = value.render(ascii_only)
-        else:
-            body = format_float(value.inexact_value, digits)
-        return f"{body} {unit}"
-    body = _exact_decimal_text(value)
+    body = _exact_decimal_text(angle.value) if form == "decimal" else None
     if body is None:
-        body = value.render(ascii_only)
+        body = angle.value.render(ascii_only, digits)
     return f"{body} {unit}"
 
 

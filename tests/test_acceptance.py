@@ -2,13 +2,15 @@
 
 One test per guarantee the package makes: exact CLI anchor strings,
 exact conversion and closure algebra, numeric error bounds for the
-quadrature and trig paths, the lint corpus, and parser totality.  Each
-test prints as a single pass/fail line under pytest -v.
+quadrature and trig paths, the lint corpus, and parser and CLI
+totality.  Each test prints as a single pass/fail line under pytest -v.
 """
 
+import io
 import itertools
 import math
 import random
+import sys
 import time
 
 from anglekit.angles import (
@@ -32,7 +34,7 @@ from anglekit.lint import (
     lint_text,
 )
 from anglekit.textio import format_angle, parse_angle, parse_expression
-from anglekit.trig import pythagorean_residual
+from anglekit.trig import FORWARD_KINDS, INVERSE_KINDS, pythagorean_residual
 
 
 def test_half_turn_anchors_print_symbolically_and_fast(run_cli):
@@ -248,3 +250,59 @@ def test_parsers_are_total_and_formatting_round_trips():
         back = parse_angle(text).parsed
         assert back.value == value
         assert back.reference == reference
+
+
+_SIGNED_LITERALS = [
+    "-30°", "-90°", "-π/6 rad", "-pi/6", "-0.5", "-.5", "-12°34′56″",
+    "-1/3 turn", "-2pi", "-360", "-1e400", "-π", "-0", "-",
+]
+
+# subcommand -> number of free operands (trig's function name comes first)
+_CLI_ARITY = {
+    "convert": 2, "measure": 1, "arc": 2, "chord": 2, "add": 2,
+    "points": 6, "trig": 1, "classify": 1, "table": 0, "lint": 1,
+}
+
+
+def _cli_operand(rng):
+    return rng.choice(_SIGNED_LITERALS) if rng.random() < 0.25 else _random_string(rng)
+
+
+def _lint_bytes(rng):
+    if rng.random() < 0.3:
+        return bytes(rng.randrange(256) for _ in range(rng.randrange(64)))
+    lines = (_random_string(rng) for _ in range(rng.randrange(1, 6)))
+    return "\n".join(lines).encode("utf-8")
+
+
+def test_cli_is_total(run_cli, tmp_path, monkeypatch):
+    """No argv reaches exit 70, a traceback, or more than one error line."""
+    rng = random.Random(0xC11)
+    for index in range(2000):
+        command = rng.choice(list(_CLI_ARITY))
+        operands = [_cli_operand(rng) for _ in range(_CLI_ARITY[command])]
+        if command == "trig":
+            operands.insert(0, rng.choice(FORWARD_KINDS + INVERSE_KINDS))
+        elif command == "lint":
+            data = _lint_bytes(rng)
+            if rng.random() < 0.5:
+                monkeypatch.setattr(sys, "stdin", io.StringIO(data.decode("latin-1")))
+                operands = ["-"]
+            else:
+                path = tmp_path / f"{index}.txt"
+                path.write_bytes(data)
+                operands = [str(path)]
+        options = ["--format", rng.choice(("human", "records"))]
+        if rng.random() < 0.5:
+            options.append("--ascii")
+        if rng.random() < 0.5:
+            options += ["--digits", str(rng.randint(1, 17))]
+        if command == "trig" and rng.random() < 0.5:
+            options += ["--period", rng.choice(["2pi", "360", "400", "1", _cli_operand(rng)])]
+        parts = [options, operands]
+        rng.shuffle(parts)
+        argv = [command, *parts[0], *parts[1]]
+        code, out, err = run_cli(*argv)
+        assert code != 70, (argv, err)
+        assert sum("error:" in line for line in err.splitlines()) <= 1, (argv, err)
+        assert "Traceback" not in out + err, argv

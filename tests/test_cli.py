@@ -1,6 +1,8 @@
 """In-process CLI tests: output shapes, exit codes, golden transcripts."""
 
+import io
 import math
+import sys
 
 import pytest
 
@@ -410,6 +412,35 @@ class TestUsageAndSafety:
     def test_overlong_literals_are_parse_errors(self, run_cli, argv, stderr):
         assert run_cli(*argv) == (2, "", stderr)
 
+    def test_signed_operands_need_no_separator(self, run_cli):
+        assert run_cli("convert", "-30°", "rad") == (0, "-π/6 rad\n", "")
+        assert run_cli("measure", "-90°") == (0, "-π/2\n", "")
+        assert run_cli("trig", "sin", "-pi/6")[0] == 0
+        assert run_cli("classify", "-12°34′56″") == (
+            5,
+            "",
+            "error: classification needs a value in [0, full_circle]\n",
+        )
+
+    def test_signed_period_is_a_domain_error(self, run_cli):
+        assert run_cli("trig", "sin", "1", "--period", "-2pi") == (
+            6,
+            "",
+            "error: period must be positive\n",
+        )
+
+    def test_signed_digits_is_still_a_usage_error(self, run_cli):
+        code, out, err = run_cli("measure", "1 rad", "--digits", "-5")
+        assert (code, out) == (2, "")
+        assert "digits must be between 1 and 17" in err
+
+    def test_options_after_a_signed_operand(self, run_cli):
+        assert run_cli("convert", "-30°", "rad", "--ascii", "--format", "records") == (
+            0,
+            "value=-pi/6\nunit=rad\nexact=true\n",
+            "",
+        )
+
     def test_records_output_is_byte_stable(self, run_cli):
         first = run_cli("convert", "180°", "rad", "--format", "records")
         second = run_cli("convert", "180°", "rad", "--format", "records")
@@ -508,3 +539,23 @@ def test_unreadable_lint_file_transcript(run_cli, tmp_path):
     path = str(tmp_path / "nope.txt")
     expected = f"error: cannot read {path!r}: [Errno 2] No such file or directory: {path!r}\n"
     assert run_cli("lint", path) == (2, "", expected)
+
+
+def test_undecodable_lint_file_transcript(run_cli, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"angle a = 1\xff\n")
+    expected = (
+        f"error: cannot read {str(path)!r}: 'utf-8' codec can't decode byte 0xff"
+        " in position 11: invalid start byte\n"
+    )
+    assert run_cli("lint", str(path)) == (2, "", expected)
+
+
+def test_undecodable_lint_stdin_transcript(run_cli, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b"angle a = 1\xff\n"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    expected = (
+        "error: cannot read '-': 'utf-8' codec can't decode byte 0xff"
+        " in position 11: invalid start byte\n"
+    )
+    assert run_cli("lint", "-") == (2, "", expected)

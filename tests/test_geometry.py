@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import anglekit.geometry
 import anglekit.quadrature
-from anglekit.angles import DEGREE, RADIAN, TURN, AngleValue, Magnitude, Measure
+from anglekit.angles import DEGREE, RADIAN, TURN, AngleValue, Measure
 from anglekit.errors import DegenerateVertexError, DomainError, ZeroAngleError
 from anglekit.exact import ONE, PI, TWO_PI, ExactScalar
 from anglekit.geometry import (
@@ -20,7 +20,6 @@ from anglekit.geometry import (
     arc_length,
     chord_integral,
     chord_length,
-    congruent,
 )
 from anglekit.quadrature import gauss_legendre_nodes, integrate
 
@@ -274,26 +273,3 @@ class TestAngleFromPoints:
             return
         phi = m.measure.value.to_float()
         assert 0.0 < phi <= math.pi
-
-
-class TestCongruent:
-    def test_exact_equality(self):
-        a = Magnitude(Measure(PI / ExactScalar(2)))
-        b = Magnitude(Measure(ExactScalar(1, 2, 1)))
-        assert congruent(a, b)
-
-    def test_exact_inequality(self):
-        a = Magnitude(Measure(PI / ExactScalar(2)))
-        b = Magnitude(Measure(ExactScalar(1, 2)))
-        assert not congruent(a, b)
-
-    def test_tolerance(self):
-        a = Magnitude(Measure(ExactScalar.inexact(1.0)))
-        b = Magnitude(Measure(ExactScalar.inexact(1.0 + 1e-13)))
-        assert not congruent(a, b)
-        assert congruent(a, b, tolerance=1e-12)
-
-    def test_negative_tolerance_rejected(self):
-        a = Magnitude(Measure(ONE))
-        with pytest.raises(ValueError):
-            congruent(a, a, tolerance=-1.0)

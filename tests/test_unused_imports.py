@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every name it exports exists."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -42,3 +44,22 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_import():
     source = "from __future__ import annotations\nimport math\nfrom .exact import ZERO, PI\nx = PI\n"
     assert unused_imports(source) == ["math (line 2)", "ZERO (line 3)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_every_export_is_defined(path):
+    module = importlib.import_module(f"anglekit.{path.stem}")
+    exports = getattr(module, "__all__", [])
+    assert [name for name in exports if not hasattr(module, name)] == []
+    assert len(set(exports)) == len(exports)
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    tree = ast.parse(pathlib.Path(anglekit.__file__).read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(anglekit.__all__) == sorted(imported)
