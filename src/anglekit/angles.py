@@ -208,7 +208,8 @@ def reduce_principal(angle: AngleValue) -> AngleValue:
     Stays exact when the input already lies in range or shares its π
     exponent with the full circle; a rational-times-π value folded
     modulo a plain rational has no exact representation here, so that
-    case degrades to an inexact float.
+    case degrades to an inexact float.  A NaN or infinite value has no
+    principal value and raises DomainError.
     """
     value = angle.value
     circle = angle.reference.full_circle
@@ -224,7 +225,10 @@ def reduce_principal(angle: AngleValue) -> AngleValue:
                 value.pi_exponent,
             )
             return AngleValue(folded, angle.reference)
-    folded_float = _fmod_positive(value.to_float(), circle.to_float())
+    x = value.to_float()
+    if not math.isfinite(x):
+        raise DomainError("only a finite value folds into the principal range")
+    folded_float = _fmod_positive(x, circle.to_float())
     return AngleValue(ExactScalar.inexact(folded_float), angle.reference)
 
 
@@ -244,42 +248,30 @@ def classify(angle: AngleValue) -> AngleClass:
     """
     value = angle.value
     circle = angle.reference.full_circle
-    quarter = circle / ExactScalar(4)
-    half = circle / ExactScalar(2)
     if value.is_exact:
-        if value.compare(ZERO) < 0 or value.compare(circle) > 0:
-            raise RangeError("classification needs a value in [0, full_circle]")
-        if value.is_zero:
-            return AngleClass.ZERO
-        against_quarter = value.compare(quarter)
-        if against_quarter < 0:
-            return AngleClass.ACUTE
-        if against_quarter == 0:
-            return AngleClass.RIGHT
-        against_half = value.compare(half)
-        if against_half < 0:
-            return AngleClass.OBTUSE
-        if against_half == 0:
-            return AngleClass.STRAIGHT
-        if value.compare(circle) == 0:
-            return AngleClass.PERIGON
-        return AngleClass.REFLEX
-    f = value.to_float()
-    full = circle.to_float()
-    tolerance = _CLASSIFY_TOLERANCE * full
-    if f < -tolerance or f > full + tolerance:
-        raise RangeError("classification needs a value in [0, full_circle]")
-    boundaries = (
-        (0.0, AngleClass.ZERO),
-        (full / 4.0, AngleClass.RIGHT),
-        (full / 2.0, AngleClass.STRAIGHT),
-        (full, AngleClass.PERIGON),
+        side = value.compare
+    else:
+        f = value.to_float()
+        tolerance = _CLASSIFY_TOLERANCE * circle.to_float()
+
+        def side(boundary: ExactScalar) -> int:
+            gap = f - boundary.to_float()
+            if abs(gap) <= tolerance:
+                return 0
+            return 1 if gap > 0 else -1  # NaN lies below every boundary
+
+    ladder = (
+        (ZERO, None, AngleClass.ZERO),
+        (circle / ExactScalar(4), AngleClass.ACUTE, AngleClass.RIGHT),
+        (circle / ExactScalar(2), AngleClass.OBTUSE, AngleClass.STRAIGHT),
+        (circle, AngleClass.REFLEX, AngleClass.PERIGON),
     )
-    for boundary, angle_class in boundaries:
-        if abs(f - boundary) <= tolerance:
-            return angle_class
-    if f < full / 4.0:
-        return AngleClass.ACUTE
-    if f < full / 2.0:
-        return AngleClass.OBTUSE
-    return AngleClass.REFLEX
+    for boundary, below, at in ladder:
+        against = side(boundary)
+        if against == 0:
+            return at
+        if against < 0:
+            if below is None:
+                break
+            return below
+    raise RangeError("classification needs a value in [0, full_circle]")

@@ -8,7 +8,7 @@ key=value pair per line with stable keys, suitable for scripting.
 Exit codes (an error's exit code is the `exit_code` of its class):
     0  success
     1  lint findings were reported
-    2  input could not be parsed (also argparse usage errors)
+    2  input could not be read or parsed (also argparse usage errors)
     3  unknown or missing unit
     4  bad radius
     5  value out of the accepted range
@@ -35,14 +35,13 @@ from .angles import (
     measure_of,
     semigroup_add,
 )
-from .errors import AngleKitError, DomainError, ExactOverflowError, ParseError
+from .errors import AngleKitError, DomainError, ExactOverflowError, ParseError, UnknownUnitError
 from .exact import ExactScalar, format_float
 from .geometry import (
     ArcSpec,
     PlanarPoint,
     angle_from_points,
     arc_length,
-    check_radius,
     chord_length,
 )
 from .lint import lint_text
@@ -57,18 +56,7 @@ from .trig import (
 
 EXIT_OK = 0
 EXIT_LINT = 1
-EXIT_PARSE = 2
-EXIT_UNIT = 3
-EXIT_DOMAIN = 6
 EXIT_INTERNAL = 70
-
-
-class _Failure(AngleKitError):
-    """An operand the command line rejects itself, with its own exit code."""
-
-    def __init__(self, exit_code: int, message: str):
-        super().__init__(message)
-        self.exit_code = exit_code
 
 
 # argparse reads a token that starts with "-" as an option unless its
@@ -106,17 +94,15 @@ def _parse_angle_arg(text: str) -> AngleValue:
 def _resolve_unit(token: str):
     reference = find_reference(token)
     if reference is None:
-        raise _Failure(EXIT_UNIT, f"unknown unit {token!r}")
+        raise UnknownUnitError(f"unknown unit {token!r}")
     return reference
 
 
-def _radius_arg(text: str) -> float:
+def _float_arg(text: str, what: str) -> float:
     try:
-        radius = float(text)
+        return float(text)
     except ValueError:
-        raise _Failure(EXIT_PARSE, f"radius {text!r} is not a number") from None
-    check_radius(radius)
-    return radius
+        raise ParseError(f"{what} {text!r} is not a number") from None
 
 
 def _exact_arc_length(measure: ExactScalar, radius_text: str) -> ExactScalar | None:
@@ -175,7 +161,7 @@ def _cmd_measure(args) -> int:
 
 def _cmd_arc(args) -> int:
     angle = _parse_angle_arg(args.angle)
-    radius = _radius_arg(args.radius)
+    radius = _float_arg(args.radius, "radius")
     measure = measure_of(angle)
     length = arc_length(ArcSpec(radius, measure))
     body = format_float(length, args.digits)
@@ -192,7 +178,7 @@ def _cmd_arc(args) -> int:
 
 def _cmd_chord(args) -> int:
     angle = _parse_angle_arg(args.angle)
-    radius = _radius_arg(args.radius)
+    radius = _float_arg(args.radius, "radius")
     length = chord_length(angle, radius)
     body = format_float(length, args.digits)
     _emit(args, body, [("chord", body)])
@@ -216,16 +202,11 @@ def _cmd_add(args) -> int:
 
 
 def _cmd_points(args) -> int:
-    coordinates = []
-    for text in (args.px, args.py, args.vx, args.vy, args.qx, args.qy):
-        try:
-            coordinates.append(float(text))
-        except ValueError:
-            raise _Failure(EXIT_PARSE, f"coordinate {text!r} is not a number") from None
-    p = PlanarPoint(coordinates[0], coordinates[1])
-    vertex = PlanarPoint(coordinates[2], coordinates[3])
-    q = PlanarPoint(coordinates[4], coordinates[5])
-    magnitude = angle_from_points(p, vertex, q)
+    px, py, vx, vy, qx, qy = [
+        _float_arg(text, "coordinate")
+        for text in (args.px, args.py, args.vx, args.vy, args.qx, args.qy)
+    ]
+    magnitude = angle_from_points(PlanarPoint(px, py), PlanarPoint(vx, vy), PlanarPoint(qx, qy))
     body = format_float(magnitude.measure.value.to_float(), args.digits)
     _emit(args, body, [("measure", body)])
     return EXIT_OK
@@ -260,7 +241,7 @@ def _trig_argument(text: str) -> float:
     try:
         literal = parse_angle(text)
     except ParseError:
-        raise _Failure(EXIT_PARSE, f"could not parse number {text!r}") from None
+        raise ParseError(f"could not parse number {text!r}") from None
     raise DomainError(
         "RAD-IN-TRIG-ARG: argument carries the unit "
         f"'{literal.parsed.reference.symbol}'; pass the dimensionless measure",
@@ -303,7 +284,7 @@ def _cmd_lint(args) -> int:
             with open(args.path, "r", encoding="utf-8") as handle:
                 text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _Failure(EXIT_PARSE, f"cannot read {args.path!r}: {exc}") from None
+        raise ParseError(f"cannot read {args.path!r}: {exc}") from None
     findings = lint_text(text)
     for finding in findings:
         rule = finding.rule or "syntax"
@@ -378,7 +359,10 @@ def _fail(code: int, message: str) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        # `table` has no operand to take a "--" that ends its options.
+        if extras and not (extras == ["--"] and args.command == "table"):
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -386,7 +370,7 @@ def main(argv=None) -> int:
     except AngleKitError as exc:
         return _fail(exc.exit_code, str(exc))
     except ZeroDivisionError as exc:
-        return _fail(EXIT_DOMAIN, str(exc))
+        return _fail(DomainError.exit_code, str(exc))
     except Exception as exc:  # pragma: no cover - safety net, no tracebacks
         return _fail(EXIT_INTERNAL, f"internal error: {exc}")
 

@@ -48,17 +48,20 @@ class ParseError(AngleKitError, ValueError):
     """Input text was rejected.
 
     `position` is the 0-based offset into the input at which the failure
-    was detected.
+    was detected, or None when the input as a whole is rejected (such as a
+    command-line operand that is not a number).
     """
 
     exit_code = 2
 
-    def __init__(self, message: str, position: int):
+    def __init__(self, message: str, position: int | None = None):
         super().__init__(message)
         self.message = message
         self.position = position
 
     def __str__(self) -> str:
+        if self.position is None:
+            return self.message
         return f"{self.message} (at position {self.position})"
 
 

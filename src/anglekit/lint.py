@@ -131,21 +131,27 @@ def _lint_line(line: str, line_number: int, declared: dict[str, str]) -> list[Li
 def _check_trig_arguments(
     node: ExpressionNode, line_number: int, excerpt: str
 ) -> list[LintFinding]:
+    """One finding per unit-bearing quantity inside a trig argument,
+    blamed on the innermost trig function around it."""
     found = []
-    for sub in walk(node):
-        if isinstance(sub, FunctionApplication) and sub.name in TRIG_FUNCTIONS:
-            for inner in walk(sub.argument):
-                if isinstance(inner, QuantityLiteral):
-                    found.append(
-                        LintFinding(
-                            RULE_RAD_IN_TRIG_ARG,
-                            line_number,
-                            inner.position + 1,
-                            f"argument of {sub.name}() carries the unit "
-                            f"'{inner.unit_text}'; pass the dimensionless measure",
-                            excerpt,
-                        )
-                    )
+    stack = [(node, None)]  # each node with its innermost enclosing trig function
+    while stack:
+        sub, trig = stack.pop()
+        if isinstance(sub, BinaryOperation):
+            stack += ((sub.right, trig), (sub.left, trig))
+        elif isinstance(sub, FunctionApplication):
+            stack.append((sub.argument, sub.name if sub.name in TRIG_FUNCTIONS else trig))
+        elif isinstance(sub, QuantityLiteral) and trig is not None:
+            found.append(
+                LintFinding(
+                    RULE_RAD_IN_TRIG_ARG,
+                    line_number,
+                    sub.position + 1,
+                    f"argument of {trig}() carries the unit "
+                    f"'{sub.unit_text}'; pass the dimensionless measure",
+                    excerpt,
+                )
+            )
     return found
 
 

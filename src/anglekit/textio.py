@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from fractions import Fraction
 
 from .angles import (
     _ALIASES,
@@ -47,7 +46,7 @@ from .errors import (
     UnknownUnitError,
     UnsupportedFormError,
 )
-from .exact import PI, ExactScalar, Record, format_float
+from .exact import PI, ZERO, ExactScalar, Record, format_float
 from .trig import FORWARD_KINDS, INVERSE_KINDS
 
 __all__ = [
@@ -327,21 +326,16 @@ def _dms_value(m: re.Match) -> AngleValue:
     degrees = _digits_to_int(m.group("deg"), m.start("deg"))
     minutes = _digits_to_int(m.group("min") or "0", m.start("min"))
     seconds_text = m.group("sec")
-    seconds = (
-        _decimal_to_scalar(seconds_text, m.start("sec")) if seconds_text else None
-    )
-    if seconds is None or seconds.is_exact:
-        total = Fraction(degrees) + Fraction(minutes, 60)
-        if seconds is not None:
-            total += Fraction(seconds.numerator, seconds.denominator) / 3600
+    seconds = _decimal_to_scalar(seconds_text, m.start("sec")) if seconds_text else ZERO
+    if seconds.is_exact:
+        sn, sd = seconds.numerator, seconds.denominator
         try:
-            value = ExactScalar(sign * total.numerator, total.denominator)
+            value = ExactScalar(sign * ((degrees * 60 + minutes) * 60 * sd + sn), 3600 * sd)
             return AngleValue(value, DEGREE)
         except ExactOverflowError:
             pass
-    seconds_float = seconds.to_float() if seconds is not None else 0.0
     try:
-        approx = sign * (degrees + minutes / 60.0 + seconds_float / 3600.0)
+        approx = sign * (degrees + minutes / 60.0 + seconds.to_float() / 3600.0)
     except OverflowError:  # degrees past float range
         approx = math.inf
     if not math.isfinite(approx):
@@ -420,19 +414,15 @@ def _format_dms(angle: AngleValue, digits: int, ascii_only: bool) -> str:
     if value.is_exact:
         if value.pi_exponent != 0:
             raise UnsupportedFormError("value carries a π factor; no sexagesimal form")
-        total = Fraction(abs(value.numerator), value.denominator)
         sign = "-" if value.numerator < 0 else ""
-        degrees = int(total)
-        rest = (total - degrees) * 60
-        minutes = int(rest)
-        seconds = (rest - minutes) * 60
-        if seconds == 0:
+        d = value.denominator
+        degrees, rest = divmod(abs(value.numerator), d)
+        minutes, rest = divmod(rest * 60, d)
+        if rest == 0:
             if minutes == 0:
                 return f"{sign}{degrees}{deg_mark}"
             return f"{sign}{degrees}{deg_mark}{minutes}{min_mark}"
-        seconds_text = _exact_decimal_text(
-            ExactScalar(seconds.numerator, seconds.denominator)
-        )
+        seconds_text = _exact_decimal_text(ExactScalar(rest * 60, d))
         if seconds_text is None:
             raise UnsupportedFormError("seconds do not terminate in this base")
         return (

@@ -28,7 +28,7 @@ from anglekit.angles import (
     reduce_principal,
     semigroup_add,
 )
-from anglekit.errors import DomainError
+from anglekit.errors import DomainError, RangeError
 from anglekit.exact import PI, TWO_PI, ExactScalar
 
 
@@ -285,6 +285,11 @@ class TestReducePrincipal:
         angle = AngleValue(ExactScalar.inexact(-90.0), DEGREE)
         assert reduce_principal(angle).value.inexact_value == 270.0
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_have_no_principal_value(self, value):
+        with pytest.raises(DomainError, match="finite"):
+            reduce_principal(AngleValue(ExactScalar.inexact(value), DEGREE))
+
     @given(st.integers(min_value=-10**6, max_value=10**6), st.integers(1, 1000))
     def test_reduction_lands_in_principal_range(self, n, d):
         for ref in (DEGREE, RADIAN, GON):
@@ -341,6 +346,23 @@ class TestClassify:
             classify(_deg(361))
         with pytest.raises(DomainError):
             classify(AngleValue(ExactScalar.inexact(360.1), DEGREE))
+
+    @pytest.mark.parametrize(
+        "value, reference",
+        [
+            # Past the full circle by more than the tolerance, where the
+            # float sum circle + tolerance rounds up to the value itself.
+            (400.0000000004, GON),
+            (1.000000000001, TURN),
+            (math.nan, DEGREE),
+            (math.inf, RADIAN),
+            (-math.inf, DEGREE),
+        ],
+        ids=["gon band", "turn band", "nan", "inf", "-inf"],
+    )
+    def test_inexact_values_outside_the_circle_are_range_errors(self, value, reference):
+        with pytest.raises(RangeError):
+            classify(AngleValue(ExactScalar.inexact(value), reference))
 
     def test_class_is_invariant_under_conversion(self):
         for degrees in (0, 30, 90, 100, 180, 200, 360):

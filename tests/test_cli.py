@@ -1,5 +1,6 @@
 """In-process CLI tests: output shapes, exit codes, golden transcripts."""
 
+import ast
 import io
 import math
 import sys
@@ -300,6 +301,26 @@ class TestTable:
         assert "degree->radian=pi/180" in out.splitlines()
         assert "π" not in out
 
+    def test_double_dash_ends_the_options(self, run_cli):
+        assert run_cli("table", "--") == run_cli("table")
+        records = run_cli("table", "--format", "records", "--ascii")
+        assert run_cli("table", "--format", "records", "--ascii", "--") == records
+        assert records[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv, extras",
+        [
+            (["table", "x"], "x"),
+            (["table", "--", "x"], "-- x"),
+            (["table", "--", "--"], "-- --"),
+            (["measure", "180°", "--", "--"], "--"),
+        ],
+    )
+    def test_operands_after_the_double_dash_stay_usage_errors(self, run_cli, argv, extras):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: unrecognized arguments: {extras}\n")
+
     def test_human_grid_has_a_header_and_six_rows(self, run_cli):
         code, out, _ = run_cli("table")
         assert code == 0
@@ -559,3 +580,26 @@ def test_undecodable_lint_stdin_transcript(run_cli, monkeypatch):
         " in position 11: invalid start byte\n"
     )
     assert run_cli("lint", "-") == (2, "", expected)
+
+
+def test_exit_codes_live_on_the_error_classes():
+    """cli.py names only the codes no error class carries, and passes no
+    exit number to an error: each error's class knows its own code."""
+    import anglekit.cli
+
+    with open(anglekit.cli.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    constants = {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("EXIT_")
+    }
+    assert constants == {"EXIT_OK", "EXIT_LINT", "EXIT_INTERNAL"}
+    assert not [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            for argument in node.exc.args:
+                assert not (isinstance(argument, ast.Constant) and isinstance(argument.value, int))
+                assert not (isinstance(argument, ast.Name) and argument.id.startswith("EXIT_"))

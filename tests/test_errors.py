@@ -41,6 +41,20 @@ def test_exit_codes(cls, code):
     assert cls.exit_code == code
 
 
+@pytest.mark.parametrize(
+    "cls, args, text",
+    [
+        (errors.ParseError, ("radius 'wide' is not a number",), "radius 'wide' is not a number"),
+        (errors.ParseError, ("expected a number", 3), "expected a number (at position 3)"),
+        (errors.UnknownUnitError, ("unknown unit 'furlong'",), "unknown unit 'furlong'"),
+    ],
+)
+def test_parse_error_shows_a_position_only_when_it_has_one(cls, args, text):
+    error = cls(*args)
+    assert str(error) == text
+    assert error.position == (args[1] if len(args) > 1 else None)
+
+
 def test_range_error_is_a_domain_error():
     assert issubclass(errors.RangeError, errors.DomainError)
 

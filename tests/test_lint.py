@@ -57,6 +57,25 @@ class TestTrigArgumentRule:
     def test_exp_is_not_a_trig_function(self):
         assert rules_of("x = exp(1 rad)") == []
 
+    def test_nested_trig_reports_the_quantity_once_under_the_innermost_call(self):
+        findings = lint_text("sin(cos(1 rad))")
+        assert [(f.column, f.message.split("(")[0]) for f in findings] == [
+            (9, "argument of cos")
+        ]
+
+    def test_non_trig_call_inside_trig_blames_the_trig_call(self):
+        findings = lint_text("sin(exp(1 rad))")
+        assert [(f.column, f.message.split("(")[0]) for f in findings] == [
+            (9, "argument of sin")
+        ]
+
+    def test_each_quantity_under_its_own_trig_call(self):
+        findings = lint_text("x = tan(1 rad + cos(2 °))")
+        assert [(f.column, f.message.split("(")[0]) for f in findings] == [
+            (9, "argument of tan"),
+            (21, "argument of cos"),
+        ]
+
     def test_bare_trig_call_without_assignment(self):
         assert rules_of("sin(1 turn)") == [(RULE_RAD_IN_TRIG_ARG, 1)]
 

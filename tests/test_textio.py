@@ -175,6 +175,17 @@ class TestParseAngleDms:
     def test_oversized_minutes_are_syntax_not_semantics(self):
         assert parse_angle("12°75′").parsed.value == ExactScalar(53, 4)
 
+    def test_denominator_near_the_64_bit_bound(self):
+        # 3600·10**15 is within a factor of 3 of 2**63.
+        lit = parse_angle("2°0′0.000000000000001″")
+        assert lit.parsed.value == ExactScalar(7200 * 10**15 + 1, 3600 * 10**15)
+        assert format_angle(lit.parsed, "dms") == "2°0′0.000000000000001″"
+
+    def test_numerator_past_the_64_bit_bound_degrades(self):
+        lit = parse_angle("359°59′59.999999999999999″")
+        assert not lit.parsed.value.is_exact
+        assert lit.parsed.value.inexact_value == 360.0
+
     def test_long_seconds_degrade(self):
         lit = parse_angle("0°0′0.1234567890123456″")
         assert not lit.parsed.value.is_exact
