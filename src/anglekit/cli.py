@@ -299,7 +299,12 @@ def _cmd_lint(args) -> int:
 # parser assembly
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The anglekit parser, with only `command`'s subparser when it names one.
+
+    Any other first token (none, an option, an unknown name) gets every
+    subparser, so the program's help and its usage errors list them all.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -338,7 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("table", _cmd_table, "builtin unit conversion factors", ""),
         ("lint", _cmd_lint, "lint a file of angle statements ('-' for stdin)", "path"),
     ]
-    for name, handler, help_text, operands in commands:
+    rows = [row for row in commands if row[0] == command] or commands
+    for name, handler, help_text, operands in rows:
         p = sub.add_parser(name, parents=[common], help=help_text)
         p._negative_number_matcher = _SIGNED_OPERAND
         for operand in operands.split():
@@ -357,7 +363,8 @@ def _fail(code: int, message: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args, extras = parser.parse_known_args(argv)
         # `table` has no operand to take a "--" that ends its options.

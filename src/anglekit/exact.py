@@ -18,7 +18,7 @@ producing numbers whose float conversion has lost all structure.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import sys
 from operator import attrgetter
 
 from .errors import ExactOverflowError
@@ -266,7 +266,9 @@ class ExactScalar:
             return value
         if isinstance(value, int):
             return ExactScalar(value)
-        if isinstance(value, Fraction):
+        # No Fraction exists unless `fractions` is loaded, so it need not be.
+        fractions = sys.modules.get("fractions")
+        if fractions is not None and isinstance(value, fractions.Fraction):
             return ExactScalar(value.numerator, value.denominator)
         return NotImplemented
 
@@ -414,13 +416,20 @@ class ExactScalar:
 
     def __hash__(self):
         # Equal values must hash equal: exact π-free values equal ints,
-        # Fractions and floats of the same value, so defer to Fraction's
-        # hash; π-carrying values only ever equal each other.
-        if self.is_exact:
-            if self.pi_exponent == 0:
-                return hash(Fraction(self.numerator, self.denominator))
+        # Fractions and floats of the same value, so they hash by the
+        # rule for rationals in "Hashing of numeric types" of the Python
+        # docs; π-carrying values only ever equal each other.
+        if not self.is_exact:
+            return hash(self.inexact_value)
+        if self.pi_exponent:
             return hash(_triple(self))
-        return hash(self.inexact_value)
+        n, modulus = self.numerator, sys.hash_info.modulus
+        try:
+            value = hash(abs(n)) * pow(self.denominator, -1, modulus) % modulus
+        except ValueError:  # the denominator is a multiple of the modulus
+            value = sys.hash_info.inf
+        value = -value if n < 0 else value
+        return -2 if value == -1 else value
 
     def __bool__(self):
         return not self.is_zero

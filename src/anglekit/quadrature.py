@@ -1,6 +1,6 @@
 """Adaptive Gauss-Legendre quadrature for smooth integrands.
 
-Nodes and weights are generated at import time by Newton iteration on the
+Nodes and weights are generated on first use by Newton iteration on the
 Legendre recurrence, correct to float precision for any order, which
 beats copying a fixed-order table around.
 """
@@ -37,14 +37,16 @@ def gauss_legendre_nodes(order: int) -> tuple[list[float], list[float]]:
     return nodes, weights
 
 
-_NODES, _WEIGHTS = gauss_legendre_nodes(16)
+_RULE: list[tuple[float, float]] = []  # the 16-point (node, weight) pairs, made on first use
 _MAX_DEPTH = 40  # bisection levels; an interval this deep is accepted as it is
 
 
 def _panel(f, a: float, b: float) -> float:
+    if not _RULE:
+        _RULE.extend(zip(*gauss_legendre_nodes(16)))
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return half * math.fsum(w * f(mid + half * x) for x, w in zip(_NODES, _WEIGHTS))
+    return half * math.fsum(w * f(mid + half * x) for x, w in _RULE)
 
 
 def integrate(f, a: float, b: float, tolerance: float = 1e-12) -> float:

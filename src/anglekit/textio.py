@@ -366,22 +366,21 @@ def format_angle(
     if form == "dms":
         return _format_dms(angle, digits, ascii_only)
     unit = ascii_symbol(angle.reference) if ascii_only else angle.reference.symbol
-    body = _exact_decimal_text(angle.value) if form == "decimal" else None
+    value = angle.value
+    body = None
+    if form == "decimal" and value.pi_exponent == 0:
+        body = _exact_decimal_text(value.numerator, value.denominator)
     if body is None:
-        body = angle.value.render(ascii_only, digits)
+        body = value.render(ascii_only, digits)
     return f"{body} {unit}"
 
 
-def _exact_decimal_text(value: ExactScalar) -> str | None:
-    """Terminating decimal for an exact rational, or None.
+def _exact_decimal_text(numerator: int, denominator: int) -> str | None:
+    """Terminating decimal for the reduced fraction numerator/denominator, or None.
 
-    None when a π factor is present, the expansion does not terminate,
-    or it would take more significant digits than parse guarantees to
-    read back exactly.
+    None when the expansion does not terminate, or it would take more
+    significant digits than parse guarantees to read back exactly.
     """
-    if value.pi_exponent != 0:
-        return None
-    numerator, denominator = value.numerator, value.denominator
     twos = 0
     while denominator % 2 == 0:
         denominator //= 2
@@ -422,7 +421,8 @@ def _format_dms(angle: AngleValue, digits: int, ascii_only: bool) -> str:
             if minutes == 0:
                 return f"{sign}{degrees}{deg_mark}"
             return f"{sign}{degrees}{deg_mark}{minutes}{min_mark}"
-        seconds_text = _exact_decimal_text(ExactScalar(rest * 60, d))
+        g = math.gcd(rest * 60, d)
+        seconds_text = _exact_decimal_text(rest * 60 // g, d // g)
         if seconds_text is None:
             raise UnsupportedFormError("seconds do not terminate in this base")
         return (

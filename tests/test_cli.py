@@ -556,6 +556,37 @@ def test_error_transcripts(run_cli, argv, code, stderr):
     assert run_cli(*argv) == (code, "", stderr)
 
 
+_OPERANDS = {
+    "convert": ["1", "rad"],
+    "measure": ["1"],
+    "arc": ["1", "1"],
+    "chord": ["1", "1"],
+    "add": ["1", "1"],
+    "points": ["1"] * 6,
+    "trig": ["sin", "1"],
+    "classify": ["1"],
+    "table": [],
+    "lint": ["-"],
+}
+
+
+@pytest.mark.parametrize("command", list(_OPERANDS))
+def test_one_subparser_prints_what_the_full_parser_prints(run_cli, monkeypatch, command):
+    """`main` builds only the named command's subparser; its help, its
+    missing-operand error and its extra-operand error are byte-identical
+    to those of the parser that has all ten."""
+    import anglekit.cli
+
+    build = anglekit.cli._build_parser
+    assert list(build(command)._subparsers._group_actions[0].choices) == [command]
+    assert list(build()._subparsers._group_actions[0].choices) == list(_OPERANDS)
+    cases = ([command, "--help"], [command], [command, *_OPERANDS[command], "extra"])
+    single = [run_cli(*argv) for argv in cases]
+    assert single[2][0] == 2 and "unrecognized arguments: extra" in single[2][2]
+    monkeypatch.setattr(anglekit.cli, "_build_parser", lambda command=None: build())
+    assert [run_cli(*argv) for argv in cases] == single
+
+
 def test_unreadable_lint_file_transcript(run_cli, tmp_path):
     path = str(tmp_path / "nope.txt")
     expected = f"error: cannot read {path!r}: [Errno 2] No such file or directory: {path!r}\n"

@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -227,6 +229,30 @@ class TestCompare:
         assert hash(ExactScalar(1, 2)) == hash(ExactScalar.inexact(0.5))
         assert hash(ExactScalar(3)) == hash(3)
         assert hash(PI) == hash(PI * ExactScalar(1))
+
+    def test_other_number_types_never_equal(self):
+        # README: only ExactScalar, int, Fraction and float compare by value.
+        one = ExactScalar(1)
+        assert one == ExactScalar(1) and one == 1 and one == Fraction(1) and one == 1.0
+        assert not (Decimal(1) == one) and not (one == Decimal(1))
+        assert not (one == complex(1)) and not (complex(1) == one)
+
+
+_COMPONENT = 2**63 - 1
+_MODULUS = sys.hash_info.modulus
+
+
+@settings(max_examples=500)
+@given(st.integers(-_COMPONENT, _COMPONENT), st.integers(1, _COMPONENT))
+@example(0, 1)
+@example(-1, 1)  # hash(-1) is -2
+@example(-_COMPONENT, 1)
+@example(1, _MODULUS)  # no inverse modulo the modulus: the hash of infinity
+@example(-3, 3 * _MODULUS)
+def test_hash_and_equality_match_fraction_over_the_component_range(n, d):
+    value, fraction = ExactScalar(n, d), Fraction(n, d)
+    assert value == fraction and fraction == value
+    assert hash(value) == hash(fraction)
 
 
 class TestRender:

@@ -269,7 +269,23 @@ def test_the_cli_imports_no_heavy_standard_modules():
         [sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True
     )
     loaded = set(result.stdout.split())
-    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"})
+    assert loaded.isdisjoint(
+        {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "fractions", "decimal", "numbers"}
+    )
     wanted = {name for name in _import_modules_of_the_benchmark() if name.startswith("anglekit")}
     assert "anglekit.cli" in wanted
     assert wanted <= loaded
+
+
+def test_fractions_loaded_after_anglekit_still_mix_with_exact_scalars():
+    """`exact` finds `Fraction` in sys.modules, so it need not import it."""
+    child = (
+        "import sys\n"
+        "from anglekit.exact import ExactScalar\n"
+        "assert 'fractions' not in sys.modules\n"
+        "from fractions import Fraction\n"
+        "assert ExactScalar(1, 2) + Fraction(1, 2) == 1\n"
+        "assert Fraction(1, 2) in {ExactScalar(1, 2)}\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, check=True)

@@ -1,6 +1,9 @@
 """Angle literal parsing, formatting, round trips, and the expression parser."""
 
 import math
+import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -303,6 +306,32 @@ class TestFormatAngle:
     def test_dms_rejects_non_terminating_seconds(self):
         with pytest.raises(UnsupportedFormError):
             format_angle(AngleValue(ExactScalar(1, 7), DEGREE), "dms")
+
+    def test_dms_seconds_of_64_bit_values(self):
+        # 60·rest/d can pass 2^63 when d is near it: the seconds are
+        # printed or refused, never an overflow.
+        found = AngleValue(ExactScalar(2293098567889552312, 6934970691769139526), DEGREE)
+        with pytest.raises(UnsupportedFormError):
+            format_angle(found, "dms")
+        rng = random.Random(20261018)
+        printed = 0
+        for _ in range(3000):
+            n = rng.randint(-(2**63) + 1, 2**63 - 1)
+            if rng.random() < 0.5:
+                d = rng.randint(1, 2**63 - 1)
+            else:  # seconds that terminate: d = 2^a·3^b·5^c with b ≤ 1, below 2^63
+                d = 2 ** rng.randint(0, 40) * 3 ** rng.randint(0, 1) * 5 ** rng.randint(0, 9)
+            value = ExactScalar(n, d)
+            try:
+                text = format_angle(AngleValue(value, DEGREE), "dms")
+            except UnsupportedFormError:
+                continue
+            fields = re.fullmatch(r"(-?)(\d+)°(?:(\d+)′)?(?:([\d.]+)″)?", text)
+            sign, degrees, minutes, seconds = fields.groups()
+            total = int(degrees) + Fraction(minutes or 0) / 60 + Fraction(seconds or 0) / 3600
+            assert (-total if sign else total) == Fraction(value.numerator, value.denominator)
+            printed += 1
+        assert printed > 200
 
     def test_dms_rejects_pi_valued_degrees(self):
         with pytest.raises(UnsupportedFormError):
