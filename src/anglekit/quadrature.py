@@ -2,12 +2,15 @@
 
 Nodes and weights are generated on first use by Newton iteration on the
 Legendre recurrence, correct to float precision for any order, which
-beats copying a fixed-order table around.
+beats copying a fixed-order table around.  An interval that has not met
+its share of the tolerance after `_MAX_DEPTH` bisections raises DomainError.
 """
 
 from __future__ import annotations
 
 import math
+
+from .errors import DomainError
 
 __all__ = ["gauss_legendre_nodes", "integrate"]
 
@@ -38,7 +41,7 @@ def gauss_legendre_nodes(order: int) -> tuple[list[float], list[float]]:
 
 
 _RULE: list[tuple[float, float]] = []  # the 16-point (node, weight) pairs, made on first use
-_MAX_DEPTH = 40  # bisection levels; an interval this deep is accepted as it is
+_MAX_DEPTH = 40  # bisection levels; an unconverged interval this deep raises
 
 
 def _panel(f, a: float, b: float) -> float:
@@ -63,8 +66,10 @@ def integrate(f, a: float, b: float, tolerance: float = 1e-12) -> float:
         mid = 0.5 * (lo + hi)
         left = _panel(f, lo, mid)
         right = _panel(f, mid, hi)
-        if abs(left + right - whole) <= budget or depth >= _MAX_DEPTH:
+        if abs(left + right - whole) <= budget:
             return left + right
+        if depth >= _MAX_DEPTH:
+            raise DomainError(f"quadrature missed the tolerance after {_MAX_DEPTH} bisections")
         return recurse(lo, mid, left, 0.5 * budget, depth + 1) + recurse(
             mid, hi, right, 0.5 * budget, depth + 1
         )

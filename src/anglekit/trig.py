@@ -7,7 +7,8 @@ runs: exactly for a rational period, and for a π period with as many
 bits of π as the size of x demands, so the reduced angle is correctly
 rounded for every finite float.  That keeps periodicity exact (x and
 x + 10⁶·p produce the identical float) and keeps accuracy flat across
-the whole argument range instead of decaying with |x|.
+the whole argument range instead of decaying with |x|.  The latest
+reduction is kept, so sin, cos and tan at one x and period object reduce once.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ FORWARD_KINDS = ("sin", "cos", "tan")
 INVERSE_KINDS = ("arcsin", "arccos")
 _POLE_TOLERANCE = 1e-10  # in reduced-radian space
 _GUARD_BITS = 128  # bits of π kept beyond the integer part of x/p
+# (x, period, θ) of the latest reduction, replaced whole so threads see
+# one entry or the other; holding the period keeps its identity unique.
+_last_reduction = (None, None, 0.0)
 
 
 class PeriodizedFunction(Record):
@@ -124,9 +128,14 @@ def _scaled_argument(x: float, period: ExactScalar) -> float:
 
 def eval_periodized(f: PeriodizedFunction, x: float) -> float:
     """Evaluate a periodized function at a float argument."""
+    global _last_reduction
     if not math.isfinite(x):
         raise DomainError("argument must be finite")
-    theta = _scaled_argument(x, f.period)
+    period = f.period
+    last_x, last_period, theta = _last_reduction
+    if last_x != x or last_period is not period:
+        theta = _scaled_argument(x, period)
+        _last_reduction = (x, period, theta)
     if f.kind == "sin":
         return math.sin(theta)
     if f.kind == "cos":

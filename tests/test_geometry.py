@@ -3,6 +3,7 @@
 import ast
 import math
 import pathlib
+import random
 
 import pytest
 from hypothesis import given
@@ -62,6 +63,14 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             gauss_legendre_nodes(1)
 
+    def test_unconverged_interval_raises(self):
+        # The singular u^-1/2 cannot meet 1e-14 within the bisection
+        # limit; the estimate it reached (1.99999996) is not returned.
+        with pytest.raises(DomainError):
+            integrate(lambda u: u**-0.5, 0.0, 1.0, tolerance=1e-14)
+        with pytest.raises(DomainError):
+            integrate(lambda u: math.nan, 0.0, 1.0)
+
 
 class TestChordIntegral:
     def test_never_calls_inverse_trig(self):
@@ -92,6 +101,14 @@ class TestChordIntegral:
         for i in range(0, 100):
             x = i / 100
             assert abs(chord_integral(x) - math.asin(x)) <= 1e-10
+
+    def test_seeded_grid_converges_everywhere(self):
+        rng = random.Random(17)
+        xs = [5e-324, 1.0] + [rng.random() or 1.0 for _ in range(1_500)]
+        xs += [10 ** rng.uniform(-300, 0) for _ in range(300)]
+        xs += [1.0 - 10 ** rng.uniform(-16, -1) for _ in range(300)]
+        for x in xs:
+            assert abs(chord_integral(x) - math.asin(x)) <= 1e-9, x
 
     def test_near_singular_endpoint(self):
         for x in (0.999, 0.999999, 1.0 - 1e-9):

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -10,10 +12,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import anglekit.trig as trig
 from anglekit.angles import DEGREE, GON, RADIAN, TURN, AngleValue
 from anglekit.errors import DomainError, PoleError
 from anglekit.exact import PI, TWO_PI, ExactScalar, pi_bits
 from anglekit.trig import (
+    FORWARD_KINDS,
     PeriodizedFunction,
     UnitCirclePoint,
     _scaled_argument,
@@ -329,3 +333,114 @@ class TestReduction:
         for f, x in work:
             eval_periodized(f, x)
         assert time.process_time() - start < 0.5
+
+
+def _outcome(f, x):
+    """f(x) as a bit-exact hex string, or the name of the error it raised."""
+    try:
+        return f(x).hex()
+    except DomainError as error:  # PoleError included
+        return type(error).__name__
+
+
+def _cleared(f, x):
+    """The outcome of f(x) with the latest reduction forgotten first."""
+    trig._last_reduction = (None, None, 0.0)
+    return _outcome(f, x)
+
+
+class TestLatestReduction:
+    def test_interleaved_calls_match_a_cleared_memo(self):
+        # Equal-valued period objects, 2 against 2π, ±0, one x against
+        # several periods, odd quarter points for tan and non-finite x
+        # after a cached entry, in a seeded order that mixes hits and
+        # misses.  Every outcome must equal the one from a cold reduction.
+        periods = (
+            ExactScalar(360),
+            ExactScalar(360),
+            ExactScalar(2),
+            ExactScalar(2, 1, 1),
+            TWO_PI,
+            ExactScalar(1),
+        )
+        rng = random.Random(29)
+        xs = [0.0, -0.0, 90.0, -270.0, 0.5, 1.5, 0.25, math.pi / 2, 1e300, -30.0]
+        xs += [_log_uniform(rng, -30, 80) for _ in range(10)]
+        x, period = 0.0, periods[0]
+        calls = []
+        for _ in range(4_000):
+            r = rng.random()
+            if r < 0.3:
+                x = rng.choice(xs)
+            elif r < 0.5:
+                period = rng.choice(periods)
+            elif r < 0.55:
+                bad = rng.choice((math.nan, math.inf, -math.inf))
+                calls.append((PeriodizedFunction(rng.choice(FORWARD_KINDS), period), bad))
+            calls.append((PeriodizedFunction(rng.choice(FORWARD_KINDS), period), x))
+        expected = [_cleared(f, x) for f, x in calls]
+        assert [_outcome(f, x) for f, x in calls] == expected
+        assert {"PoleError", "DomainError"} <= set(expected)
+
+    def test_two_threads_match_precomputed_values(self):
+        work = (
+            [PeriodizedFunction(kind, ExactScalar(360)) for kind in FORWARD_KINDS],
+            30.0 + 360.0 * 1e9,
+        ), (
+            [PeriodizedFunction(kind, TWO_PI) for kind in FORWARD_KINDS],
+            1e22,
+        )
+        expected = [[_cleared(f, x) for f in functions] for functions, x in work]
+        mismatches = []
+
+        def run(index):
+            functions, x = work[index]
+            for i in range(3_000):
+                k = i % 3
+                if _outcome(functions[k], x) != expected[index][k]:
+                    mismatches.append((index, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert mismatches == []
+
+    def test_one_reduction_per_argument_and_period_object(self, monkeypatch):
+        calls = []
+
+        def counting(x, period):
+            calls.append(x)
+            return _scaled_argument(x, period)
+
+        monkeypatch.setattr(trig, "_scaled_argument", counting)
+        period = ExactScalar(360)
+        sin_f, cos_f, tan_f = (PeriodizedFunction(kind, period) for kind in FORWARD_KINDS)
+        sin_f(12.5)
+        cos_f(12.5)
+        tan_f(12.5)
+        sin_f(12.5)
+        assert len(calls) == 1
+        pythagorean_residual(period, 13.5)
+        assert len(calls) == 2
+        assert sin_f(90.0) == 1.0
+        with pytest.raises(PoleError):
+            tan_f(90.0)  # the pole test runs on a reused reduction too
+        assert len(calls) == 3
+        with pytest.raises(DomainError):
+            tan_f(math.nan)
+        cos_f(90.0)
+        assert len(calls) == 3
+        sin_f(91.0)  # a new x
+        assert len(calls) == 4
+        PeriodizedFunction("sin", ExactScalar(360))(91.0)  # another period object
+        assert len(calls) == 5
+        assert PeriodizedFunction("sin", ExactScalar(2))(0.5) == 1.0
+        assert PeriodizedFunction("sin", ExactScalar(2, 1, 1))(0.5) == math.sin(0.5)
+        assert len(calls) == 7
