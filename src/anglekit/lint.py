@@ -78,10 +78,15 @@ class LintFinding(Record):
 
 
 def lint_text(text: str) -> list[LintFinding]:
-    """Lint a whole program; findings come back ordered by position."""
+    r"""Lint a whole program; findings come back ordered by position.
+
+    Only "\n", "\r\n" and "\r" end a line; other separators that
+    str.splitlines honours (form feed, "\u2028"...) stay whitespace.
+    """
     declared: dict[str, str] = {}
     findings: list[LintFinding] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         findings.extend(_lint_line(line, line_number, declared))

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import namedtuple
 
 from .angles import (
     _ALIASES,
@@ -37,7 +36,6 @@ from .angles import (
     AngleValue,
     ReferenceAngle,
     ascii_symbol,
-    find_reference,
 )
 from .errors import (
     ExactOverflowError,
@@ -77,6 +75,9 @@ _EXACT_DIGIT_LIMIT = 15
 _MAX_NESTING = 100
 
 _DECIMAL_RE = re.compile(r"\d+(?:\.(\d+))?(?:[eE][+-]?\d+)?")
+# digits[.digits] that nothing after it extends; exact when it has at
+# most 15 digits, so it skips the general scan.
+_PLAIN_DECIMAL_RE = re.compile(r"(\d{1,15})(?:\.(\d{1,14}))?(?![\d.eEpπ/])")
 _DIGITS_RE = re.compile(r"\d+")
 
 _DMS_RE = re.compile(
@@ -177,6 +178,11 @@ def _scan_number(
     Returns (value, saw_pi, end).  With allow_slash false the "/" forms
     are left untouched for an enclosing expression parser.
     """
+    m = _PLAIN_DECIMAL_RE.match(text, i)
+    if m is not None:
+        whole, frac = m.groups("")
+        if len(whole) + len(frac) <= _EXACT_DIGIT_LIMIT:
+            return ExactScalar(int(whole + frac), 10 ** len(frac)), False, m.end()
     start = i
     sign = 1
     if i < len(text) and text[i] in "+-":
@@ -521,15 +527,16 @@ def walk(node: ExpressionNode):
             stack.append(node.argument)
 
 
-# kind is one of NUMBER WORD UNIT OP END; value is the ExactScalar of a NUMBER
-_Token = namedtuple("_Token", "kind text position value", defaults=(None,))
+# A token is a tuple (kind, text, position, value).  kind is the
+# operator itself for + * / = ( ), else NUMBER, WORD, UNIT or END;
+# value is the ExactScalar of a NUMBER and None otherwise.
 
 
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _lex(text: str, offset: int) -> list[_Token]:
-    tokens: list[_Token] = []
+def _lex(text: str, offset: int) -> list[tuple]:
+    tokens: list[tuple] = []
     i = 0
     while i < len(text):
         ch = text[i]
@@ -545,29 +552,26 @@ def _lex(text: str, offset: int) -> list[_Token]:
                     text[nxt].isdigit()
                     or (text[nxt] in "pπ" and _match_pi(text, nxt) is not None)
                 )
-                and (
-                    not tokens
-                    or (tokens[-1].kind == "OP" and tokens[-1].text != ")")
-                )
+                and (not tokens or tokens[-1][0] in "+*/=(")
             )
             if not sign_opens_number:
                 if ch == "+":
-                    tokens.append(_Token("OP", ch, position))
+                    tokens.append(("+", ch, position, None))
                     i += 1
                     continue
                 raise ParseError("unexpected character '-'", position)
         elif not (ch.isdigit() or (ch in "pπ" and _match_pi(text, i) is not None)):
             if ch in "*/=()":
-                tokens.append(_Token("OP", ch, position))
+                tokens.append((ch, ch, position, None))
                 i += 1
                 continue
             if ch in _UNIT_SYMBOLS:
-                tokens.append(_Token("UNIT", ch, position))
+                tokens.append(("UNIT", ch, position, None))
                 i += 1
                 continue
             m = _WORD_RE.match(text, i)
             if m is not None:
-                tokens.append(_Token("WORD", m.group(), position))
+                tokens.append(("WORD", m.group(), position, None))
                 i = m.end()
                 continue
             raise ParseError(f"unexpected character {ch!r}", position)
@@ -576,120 +580,98 @@ def _lex(text: str, offset: int) -> list[_Token]:
         except ParseError as exc:
             exc.position += offset  # _scan_number counts from the start of text
             raise
-        tokens.append(_Token("NUMBER", text[i:end], position, value))
+        tokens.append(("NUMBER", text[i:end], position, value))
         i = end
-    tokens.append(_Token("END", "", offset + len(text)))
+    tokens.append(("END", "", offset + len(text), None))
     return tokens
 
 
 class _ExpressionParser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
         self.index = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
     def parse(self) -> ExpressionNode:
         node = self.equality()
-        tail = self.peek()
-        if tail.kind != "END":
-            raise ParseError("unexpected trailing text", tail.position)
+        kind, _, position, _ = self.tokens[self.index]
+        if kind != "END":
+            raise ParseError("unexpected trailing text", position)
         return node
 
     def equality(self) -> ExpressionNode:
         left = self.sum_()
-        token = self.peek()
-        if token.kind == "OP" and token.text == "=":
-            self.advance()
-            right = self.sum_()
-            after = self.peek()
-            if after.kind == "OP" and after.text == "=":
-                raise ParseError("chained '=' is not allowed", after.position)
-            return BinaryOperation(token.position, "=", left, right)
-        return left
+        kind, _, position, _ = self.tokens[self.index]
+        if kind != "=":
+            return left
+        self.index += 1
+        right = self.sum_()
+        kind, _, after, _ = self.tokens[self.index]
+        if kind == "=":
+            raise ParseError("chained '=' is not allowed", after)
+        return BinaryOperation(position, "=", left, right)
 
     def sum_(self) -> ExpressionNode:
         node = self.term()
+        tokens = self.tokens
         while True:
-            token = self.peek()
-            if token.kind == "OP" and token.text == "+":
-                self.advance()
-                node = BinaryOperation(token.position, "+", node, self.term())
-            else:
+            kind, _, position, _ = tokens[self.index]
+            if kind != "+":
                 return node
+            self.index += 1
+            node = BinaryOperation(position, "+", node, self.term())
 
     def term(self) -> ExpressionNode:
         node = self.primary()
+        tokens = self.tokens
         while True:
-            token = self.peek()
-            if token.kind == "OP" and token.text in ("*", "/"):
-                self.advance()
-                node = BinaryOperation(token.position, token.text, node, self.primary())
-            else:
+            kind, _, position, _ = tokens[self.index]
+            if kind != "*" and kind != "/":
                 return node
+            self.index += 1
+            node = BinaryOperation(position, kind, node, self.primary())
 
     def primary(self) -> ExpressionNode:
-        token = self.peek()
-        if token.kind == "NUMBER":
-            self.advance()
-            return self.maybe_quantity(token)
-        if token.kind == "WORD":
-            self.advance()
-            nxt = self.peek()
-            if nxt.kind == "OP" and nxt.text == "(":
-                if token.text not in FUNCTION_NAMES:
-                    raise ParseError(f"unknown function '{token.text}'", token.position)
-                argument = self.group(token.position)
-                return FunctionApplication(token.position, token.text, argument)
-            return Identifier(token.position, token.text)
-        if token.kind == "OP" and token.text == "(":
-            return self.group(token.position)
-        if token.kind == "UNIT":
-            raise ParseError("unit symbol needs a number before it", token.position)
-        raise ParseError("expected a value", token.position)
+        """A number (with the unit after it, if any), a name, a call or a group."""
+        tokens = self.tokens
+        kind, text, position, value = tokens[self.index]
+        self.index += 1
+        if kind == "NUMBER":
+            unit_kind, unit_text, _, _ = tokens[self.index]
+            if unit_kind == "UNIT" or (unit_kind == "WORD" and unit_text in _ALIASES):
+                self.index += 1
+                return QuantityLiteral(position, value, _ALIASES[unit_text], unit_text)
+            return NumberLiteral(position, value)
+        if kind == "WORD":
+            if tokens[self.index][0] != "(":
+                return Identifier(position, text)
+            if text not in FUNCTION_NAMES:
+                raise ParseError(f"unknown function '{text}'", position)
+            self.index += 1
+            return FunctionApplication(position, text, self.group(position))
+        if kind == "(":
+            return self.group(position)
+        if kind == "UNIT":
+            raise ParseError("unit symbol needs a number before it", position)
+        raise ParseError("expected a value", position)
 
     def group(self, position: int) -> ExpressionNode:
-        """Consume "(", an expression and its ")"; `position` reports deep nesting."""
-        self.advance()
+        """An expression and its ")", after the "("; `position` reports deep nesting."""
         self.depth += 1
         if self.depth > _MAX_NESTING:
             raise ParseError("expression nests too deeply", position)
         node = self.equality()
-        closing = self.peek()
-        if not (closing.kind == "OP" and closing.text == ")"):
-            raise ParseError("expected ')'", closing.position)
-        self.advance()
+        kind, _, closing, _ = self.tokens[self.index]
+        if kind != ")":
+            raise ParseError("expected ')'", closing)
+        self.index += 1
         self.depth -= 1
         return node
-
-    def maybe_quantity(self, number: _Token) -> ExpressionNode:
-        token = self.peek()
-        if token.kind == "UNIT":
-            self.advance()
-            reference = find_reference(token.text)
-            return QuantityLiteral(
-                number.position, number.value, reference, token.text
-            )
-        if token.kind == "WORD":
-            reference = find_reference(token.text)
-            if reference is not None:
-                self.advance()
-                return QuantityLiteral(
-                    number.position, number.value, reference, token.text
-                )
-        return NumberLiteral(number.position, number.value)
 
 
 def parse_expression(text: str, offset: int = 0) -> ExpressionNode:
     """Parse one expression; positions are absolute (offset + local)."""
     tokens = _lex(text, offset)
-    if tokens[0].kind == "END":
+    if tokens[0][0] == "END":
         raise ParseError("empty expression", offset)
     return _ExpressionParser(tokens).parse()

@@ -168,6 +168,26 @@ class TestStatementsAndSyntax:
             (None, 3),
         ]
 
+    def test_form_feed_before_a_newline_does_not_add_a_line(self):
+        text = "angle a = 3\f\nangle b = 4\ny = sin(30 deg)\n"
+        assert rules_of(text) == [
+            (RULE_MISSING_REFERENCE_SYMBOL, 1),
+            (RULE_MISSING_REFERENCE_SYMBOL, 2),
+            (RULE_RAD_IN_TRIG_ARG, 3),
+        ]
+
+    @pytest.mark.parametrize(
+        "space", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"], ids=repr
+    )
+    def test_only_newline_sequences_end_a_line(self, space):
+        text = f"angle a = 3{space}\nangle b = {space}4\r\ny = sin(30{space}deg)\rangle c = pi{space}"
+        assert rules_of(text) == [
+            (RULE_MISSING_REFERENCE_SYMBOL, 1),
+            (RULE_MISSING_REFERENCE_SYMBOL, 2),
+            (RULE_RAD_IN_TRIG_ARG, 3),
+            (RULE_MISSING_REFERENCE_SYMBOL, 4),
+        ]
+
     @pytest.mark.parametrize(
         "text, column",
         [("x = 1e400", 5), ("angle a = 1e400", 11), ("angle a = 2 * -1e400°", 15)],

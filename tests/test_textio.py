@@ -1,5 +1,6 @@
 """Angle literal parsing, formatting, round trips, and the expression parser."""
 
+import hashlib
 import math
 import random
 import re
@@ -19,6 +20,7 @@ from anglekit.angles import (
     RADIAN,
     TURN,
     AngleValue,
+    ReferenceAngle,
 )
 from anglekit.errors import (
     MissingUnitError,
@@ -29,6 +31,7 @@ from anglekit.errors import (
 from anglekit.exact import PI, ExactScalar
 from anglekit.textio import (
     BinaryOperation,
+    ExpressionNode,
     FunctionApplication,
     Identifier,
     NumberLiteral,
@@ -517,3 +520,190 @@ class TestExpressionParsing:
             parse_expression("2 3")
         with pytest.raises(ParseError):
             parse_expression("2 x")
+
+
+# ----------------------------------------------------------------------
+# pinned front-end behaviour
+
+_GOLDEN_NUMBERS = (
+    "0", "7", "12", "0.5", "3.25", "000123", "12.500", "1e5", "2E-3", "1.5e-3",
+    "12.", "0.000000000000001", "٣", "５", "²", "π", "2π", "pi",
+    "π/4", "1/(2π)", "3/π", "1/3",
+)
+_GOLDEN_UNITS = (
+    "°", "′", "″", "d", "m", "s", "deg", "degree", "rad", "radian", "gon",
+    "turn", "arcmin", "arcsec", "furlong", "",
+)
+_GOLDEN_PIECES = _GOLDEN_NUMBERS + _GOLDEN_UNITS + (
+    "e", "E", ".", "p", "α", "\u2028", "\f", " ", " ", "+", "-", "*", "/",
+    "=", "(", ")", "sin", "cos", "tan", "arcsin", "exp", "foo", "x", "_a1",
+)
+
+
+def _golden_number(rng):
+    if rng.random() < 0.15:
+        return "".join(rng.choice("0123456789") for _ in range(rng.randint(13, 20)))
+    return rng.choice(("", "", "+", "-")) + rng.choice(_GOLDEN_NUMBERS)
+
+
+def _golden_term(rng, depth=0):
+    roll = rng.random()
+    if roll < 0.5:
+        return _golden_number(rng) + rng.choice(("", " ")) + rng.choice(_GOLDEN_UNITS)
+    if roll < 0.7 or depth > 2:
+        return rng.choice(("x", "_a1", "foo", "pi", "e"))
+    name = rng.choice(("sin", "cos", "tan", "arcsin", "exp", "foo", "("))
+    return name + ("" if name == "(" else "(") + _golden_term(rng, depth + 1) + ")"
+
+
+def _golden_corpus(count=20_000, seed=14):
+    """Seeded strings: random pieces, angle literals and expressions."""
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(count):
+        mode = rng.random()
+        if mode < 0.4:
+            parts = [
+                _golden_number(rng) if rng.random() < 0.1 else rng.choice(_GOLDEN_PIECES)
+                for _ in range(rng.randint(1, 8))
+            ]
+            text = "".join(parts)
+        elif mode < 0.7:
+            text = _golden_term(rng) + rng.choice(("", "", " ", "\u2028", "\f", "x", "."))
+        else:
+            terms = [_golden_term(rng) for _ in range(rng.randint(1, 5))]
+            text = terms[0]
+            for term in terms[1:]:
+                text += rng.choice((" + ", "*", " / ", " = ", "+", " - ", " ")) + term
+        corpus.append(text)
+    return corpus
+
+
+def _golden_scalar(value):
+    if value.is_exact:
+        return (value.numerator, value.denominator, value.pi_exponent)
+    return value.inexact_value.hex()
+
+
+def _golden_field(value):
+    if isinstance(value, ExactScalar):
+        return _golden_scalar(value)
+    if isinstance(value, AngleValue):
+        return (_golden_scalar(value.value), value.reference.name)
+    if isinstance(value, ReferenceAngle):
+        return value.name
+    return value
+
+
+def _golden_outcome(parse, text):
+    """A parse result as plain data; an error as (class, message, position)."""
+    try:
+        result = parse(text)
+    except ParseError as exc:
+        return (type(exc).__name__, exc.message, exc.position)
+    if isinstance(result, ExactScalar):
+        return _golden_scalar(result)
+    if parse is parse_angle:
+        return (result.form, _golden_field(result.parsed))
+    return [
+        (type(node).__name__,)
+        + tuple(
+            _golden_field(getattr(node, name))
+            for name in node._fields
+            if not isinstance(getattr(node, name), ExpressionNode)
+        )
+        for node in walk(result)
+    ]
+
+
+# sha256 of every outcome of parse_number, parse_angle and parse_expression
+# on the corpus.  A faster scanner or parser must leave it unchanged;
+# change it only with a deliberate change of what the front end accepts.
+_GOLDEN_DIGEST = "778558072a61b6f059e08f2ff799e5b1e8e68e795d3a9afa70a1e2fff0bf0574"
+
+
+def test_front_end_matches_the_pinned_digest():
+    digest = hashlib.sha256()
+    for text in _golden_corpus():
+        for parse in (parse_number, parse_angle, parse_expression):
+            digest.update(repr(_golden_outcome(parse, text)).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == _GOLDEN_DIGEST
+
+
+# A plain decimal of at most 15 digits takes a shortcut in the scanner;
+# each follower below either ends the number or must send it down the
+# full scan.
+_PLAIN_LITERALS = (
+    "123456789012345",
+    "1234567890123456",
+    "1234567890.12345",
+    "1234567890.123456",
+    "000123",
+    "12.500",
+    "0.000000000000001",
+)
+_FOLLOWERS = (".", "e", "E", "p", "π", "/", "²", " ", "")
+
+
+def _assert_decimal(value, literal, pi_exponent=0):
+    """value is literal·π^pi_exponent, exact iff at most 15 significant digits."""
+    if len(literal.replace(".", "").strip("0")) > 15:
+        assert not value.is_exact
+        expected = float(literal) * math.pi**pi_exponent
+        assert value.inexact_value == pytest.approx(expected, rel=1e-15)
+        return
+    assert value.is_exact and value.pi_exponent == pi_exponent
+    assert Fraction(value.numerator, value.denominator) == Fraction(literal)
+
+
+@pytest.mark.parametrize("literal", _PLAIN_LITERALS)
+@pytest.mark.parametrize("follower", _FOLLOWERS, ids=repr)
+class TestPlainDecimalBoundary:
+    def text(self, literal, follower):
+        return literal + follower + ("4" if follower == "/" else "")
+
+    def test_parse_number(self, literal, follower):
+        text = self.text(literal, follower)
+        if follower in ("", " ", "π"):
+            _assert_decimal(parse_number(text), literal, int(follower == "π"))
+        elif follower == "/" and literal.isdigit():  # a fraction is exact at any length
+            assert parse_number(text) == ExactScalar(int(literal), 4)
+        else:
+            position = 0 if follower == "/" else len(literal)
+            with pytest.raises(ParseError) as excinfo:
+                parse_number(text)
+            assert excinfo.value.position == position
+
+    def test_parse_angle(self, literal, follower):
+        text = self.text(literal, follower) + " rad"
+        if follower == "/" and literal.isdigit():
+            assert parse_angle(text).parsed == AngleValue(ExactScalar(int(literal), 4), RADIAN)
+        elif follower in ("", " ", "π"):
+            lit = parse_angle(text)
+            assert lit.parsed.reference is RADIAN
+            assert lit.form == ("symbolic_pi" if follower == "π" else "decimal")
+            _assert_decimal(lit.parsed.value, literal, int(follower == "π"))
+        else:
+            position = 0 if follower == "/" else len(literal)
+            with pytest.raises(ParseError) as excinfo:
+                parse_angle(text)
+            assert excinfo.value.position == position
+
+    def test_parse_expression(self, literal, follower):
+        node = None
+        text = self.text(literal, follower)
+        if follower == "/":
+            node = parse_expression(text)
+            assert isinstance(node, BinaryOperation) and node.operator == "/"
+            assert node.position == len(literal)
+            assert node.right == NumberLiteral(len(literal) + 1, ExactScalar(4))
+            node = node.left
+        elif follower in ("", " ", "π"):
+            node = parse_expression(text)
+        if node is None:
+            with pytest.raises(ParseError) as excinfo:
+                parse_expression(text)
+            assert excinfo.value.position == len(literal)
+            return
+        assert isinstance(node, NumberLiteral) and node.position == 0
+        _assert_decimal(node.value, literal, int(follower == "π"))
