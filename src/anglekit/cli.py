@@ -5,6 +5,12 @@ table, lint.  Each accepts --format {human,records}, --ascii, and
 --digits N after the subcommand name.  records mode prints one
 key=value pair per line with stable keys, suitable for scripting.
 
+A handler returns its records as (key, value) pairs, and `main` is
+their one printer: records mode prints them as key=value lines, human
+mode prints the values joined by a space, leaving out `exact`.  arc,
+table and lint print their own lines and return their exit code: arc's
+exact= holds a symbol, table prints a grid and lint exits 1 on findings.
+
 Exit codes (an error's exit code is the `exit_code` of its class):
     0  success
     1  lint findings were reported
@@ -25,7 +31,6 @@ import sys
 
 from .angles import (
     BUILTIN_REFERENCES,
-    AngleValue,
     Magnitude,
     ascii_symbol,
     check_full_circle,
@@ -79,25 +84,6 @@ def _unit_text(reference, args) -> str:
     return ascii_symbol(reference) if args.ascii else reference.symbol
 
 
-def _emit(args, human: str, records: list[tuple[str, str]]) -> None:
-    if args.format == "records":
-        for key, value in records:
-            print(f"{key}={value}")
-    else:
-        print(human)
-
-
-def _parse_angle_arg(text: str) -> AngleValue:
-    return parse_angle(text).parsed
-
-
-def _resolve_unit(token: str):
-    reference = find_reference(token)
-    if reference is None:
-        raise UnknownUnitError(f"unknown unit {token!r}")
-    return reference
-
-
 def _float_arg(text: str, what: str) -> float:
     try:
         return float(text)
@@ -126,110 +112,79 @@ def _exact_arc_length(measure: ExactScalar, radius_text: str) -> ExactScalar | N
 # subcommands
 
 
-def _cmd_convert(args) -> int:
-    angle = _parse_angle_arg(args.angle)
-    target = _resolve_unit(args.unit)
-    result = convert(angle, target)
-    body = result.value.render(args.ascii, args.digits)
-    unit = _unit_text(target, args)
-    _emit(
-        args,
-        f"{body} {unit}",
-        [
-            ("value", body),
-            ("unit", unit),
-            ("exact", "true" if result.value.is_exact else "false"),
-        ],
-    )
-    return EXIT_OK
+def _cmd_convert(args) -> list[tuple[str, str]]:
+    angle = parse_angle(args.angle).parsed
+    target = find_reference(args.unit)
+    if target is None:
+        raise UnknownUnitError(f"unknown unit {args.unit!r}")
+    value = convert(angle, target).value
+    return [
+        ("value", value.render(args.ascii, args.digits)),
+        ("unit", _unit_text(target, args)),
+        ("exact", "true" if value.is_exact else "false"),
+    ]
 
 
-def _cmd_measure(args) -> int:
-    angle = _parse_angle_arg(args.angle)
-    measure = measure_of(angle)
-    body = measure.value.render(args.ascii, args.digits)
-    _emit(
-        args,
-        body,
-        [
-            ("measure", body),
-            ("exact", "true" if measure.value.is_exact else "false"),
-        ],
-    )
-    return EXIT_OK
+def _cmd_measure(args) -> list[tuple[str, str]]:
+    value = measure_of(parse_angle(args.angle).parsed).value
+    return [
+        ("measure", value.render(args.ascii, args.digits)),
+        ("exact", "true" if value.is_exact else "false"),
+    ]
 
 
 def _cmd_arc(args) -> int:
-    angle = _parse_angle_arg(args.angle)
+    angle = parse_angle(args.angle).parsed
     radius = _float_arg(args.radius, "radius")
     measure = measure_of(angle)
-    length = arc_length(ArcSpec(radius, measure))
-    body = format_float(length, args.digits)
-    records = [("length", body)]
-    human = body
+    body = format_float(arc_length(ArcSpec(radius, measure)), args.digits)
     exact_length = _exact_arc_length(measure.value, args.radius)
-    if exact_length is not None:
-        symbolic = exact_length.render(args.ascii)
-        human = f"{body} (exactly {symbolic})"
-        records.append(("exact", symbolic))
-    _emit(args, human, records)
+    symbolic = "" if exact_length is None else exact_length.render(args.ascii)
+    if args.format == "records":
+        print(f"length={body}" + (f"\nexact={symbolic}" if symbolic else ""))
+    else:
+        print(body + (f" (exactly {symbolic})" if symbolic else ""))
     return EXIT_OK
 
 
-def _cmd_chord(args) -> int:
-    angle = _parse_angle_arg(args.angle)
+def _cmd_chord(args) -> list[tuple[str, str]]:
+    angle = parse_angle(args.angle).parsed
     radius = _float_arg(args.radius, "radius")
-    length = chord_length(angle, radius)
-    body = format_float(length, args.digits)
-    _emit(args, body, [("chord", body)])
-    return EXIT_OK
+    return [("chord", format_float(chord_length(angle, radius), args.digits))]
 
 
-def _cmd_add(args) -> int:
-    first = _parse_angle_arg(args.first)
-    second = _parse_angle_arg(args.second)
+def _cmd_add(args) -> list[tuple[str, str]]:
+    first = parse_angle(args.first).parsed
+    second = parse_angle(args.second).parsed
     total = semigroup_add(Magnitude(measure_of(first)), Magnitude(measure_of(second)))
-    body = total.measure.value.render(args.ascii, args.digits)
-    _emit(
-        args,
-        body,
-        [
-            ("measure", body),
-            ("exact", "true" if total.measure.value.is_exact else "false"),
-        ],
-    )
-    return EXIT_OK
+    value = total.measure.value
+    return [
+        ("measure", value.render(args.ascii, args.digits)),
+        ("exact", "true" if value.is_exact else "false"),
+    ]
 
 
-def _cmd_points(args) -> int:
+def _cmd_points(args) -> list[tuple[str, str]]:
     px, py, vx, vy, qx, qy = [
         _float_arg(text, "coordinate")
         for text in (args.px, args.py, args.vx, args.vy, args.qx, args.qy)
     ]
     magnitude = angle_from_points(PlanarPoint(px, py), PlanarPoint(vx, vy), PlanarPoint(qx, qy))
-    body = format_float(magnitude.measure.value.to_float(), args.digits)
-    _emit(args, body, [("measure", body)])
-    return EXIT_OK
+    return [("measure", format_float(magnitude.measure.value.to_float(), args.digits))]
 
 
-def _cmd_trig(args) -> int:
+def _cmd_trig(args) -> list[tuple[str, str]]:
     period = parse_number(args.period)
     check_full_circle(period)
     x = _trig_argument(args.argument)
     if args.function in FORWARD_KINDS:
         result = eval_periodized(PeriodizedFunction(args.function, period), x)
-        body = format_float(result, args.digits)
-        _emit(args, body, [("value", body)])
-        return EXIT_OK
+        return [("value", format_float(result, args.digits))]
     result = eval_inverse(args.function, period, x)
-    body = result.value.render(args.ascii, args.digits)
-    unit = _unit_text(result.reference, args)
-    _emit(
-        args,
-        f"{body} {unit}",
-        [("value", body), ("unit", unit)],
-    )
-    return EXIT_OK
+    return [
+        ("value", result.value.render(args.ascii, args.digits)),
+        ("unit", _unit_text(result.reference, args)),
+    ]
 
 
 def _trig_argument(text: str) -> float:
@@ -248,29 +203,23 @@ def _trig_argument(text: str) -> float:
     )
 
 
-def _cmd_classify(args) -> int:
-    result = classify(_parse_angle_arg(args.angle))
-    _emit(args, result.value, [("class", result.value)])
-    return EXIT_OK
+def _cmd_classify(args) -> list[tuple[str, str]]:
+    return [("class", classify(parse_angle(args.angle).parsed).value)]
 
 
 def _cmd_table(args) -> int:
     names = [ref.name for ref in BUILTIN_REFERENCES]
-    cells: dict[tuple[str, str], str] = {}
-    for source in BUILTIN_REFERENCES:
-        for target in BUILTIN_REFERENCES:
-            factor = target.full_circle / source.full_circle
-            cells[(source.name, target.name)] = factor.render(args.ascii)
+    grid = [
+        [(target.full_circle / source.full_circle).render(args.ascii) for target in BUILTIN_REFERENCES]
+        for source in BUILTIN_REFERENCES
+    ]
     if args.format == "records":
-        for source in names:
-            for target in names:
-                print(f"{source}->{target}={cells[(source, target)]}")
+        for source, row in zip(names, grid):
+            for target, cell in zip(names, row):
+                print(f"{source}->{target}={cell}")
         return EXIT_OK
-    header = ["from\\to"] + names
-    rows = [header]
-    for source in names:
-        rows.append([source] + [cells[(source, target)] for target in names])
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+    rows = [["from\\to", *names]] + [[source, *row] for source, row in zip(names, grid)]
+    widths = [max(map(len, column)) for column in zip(*rows)]
     for row in rows:
         print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
     return EXIT_OK
@@ -357,11 +306,6 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser(argv[0] if argv else None)
@@ -373,13 +317,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        records = args.func(args)
+        if isinstance(records, int):  # arc, table and lint print their own lines
+            return records
+        if args.format == "records":
+            print("\n".join(f"{key}={value}" for key, value in records))
+        else:
+            print(" ".join(value for key, value in records if key != "exact"))
+        return EXIT_OK
     except AngleKitError as exc:
-        return _fail(exc.exit_code, str(exc))
+        code, message = exc.exit_code, str(exc)
     except ZeroDivisionError as exc:
-        return _fail(DomainError.exit_code, str(exc))
+        code, message = DomainError.exit_code, str(exc)
     except Exception as exc:  # pragma: no cover - safety net, no tracebacks
-        return _fail(EXIT_INTERNAL, f"internal error: {exc}")
+        code, message = EXIT_INTERNAL, f"internal error: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _DEGENERACY_THRESHOLD = 1e-12  # relative to the longer ray
+_DOWNSCALE = 2.0**-600
 
 
 class PlanarPoint(Record):
@@ -68,13 +69,19 @@ def angle_from_points(p: PlanarPoint, vertex: PlanarPoint, q: PlanarPoint) -> Ma
     """
     ux, uy = p.x - vertex.x, p.y - vertex.y
     vx, vy = q.x - vertex.x, q.y - vertex.y
+    cross = ux * vy - uy * vx
+    dot = ux * vx + uy * vy
+    if not (math.isfinite(cross) and math.isfinite(dot)):
+        # A difference or a product overflowed.  Scaling by a power of two
+        # keeps the angle, and after 2^-600 no product can overflow; only
+        # coordinates far too small to move the result lose bits.
+        scaled = (PlanarPoint(pt.x * _DOWNSCALE, pt.y * _DOWNSCALE) for pt in (p, vertex, q))
+        return angle_from_points(*scaled)
     lu = math.hypot(ux, uy)
     lv = math.hypot(vx, vy)
     longer = max(lu, lv)
     if min(lu, lv) <= _DEGENERACY_THRESHOLD * longer:
         raise DegenerateVertexError("ray endpoint coincides with the vertex")
-    cross = ux * vy - uy * vx
-    dot = ux * vx + uy * vy
     if abs(cross) <= _DEGENERACY_THRESHOLD * lu * lv and dot > 0.0:
         raise ZeroAngleError("rays point the same way; no angle between them")
     phi = math.atan2(abs(cross), dot)

@@ -1,8 +1,10 @@
 """In-process CLI tests: output shapes, exit codes, golden transcripts."""
 
 import ast
+import hashlib
 import io
 import math
+import random
 import sys
 
 import pytest
@@ -199,6 +201,24 @@ class TestPoints:
     def test_collinear_same_side(self, run_cli):
         code, _, _ = run_cli("points", "1", "0", "0", "0", "2", "0")
         assert code == 6
+
+    def test_right_angle_past_the_float_limit(self, run_cli):
+        # the dot product is inf - inf before the points are scaled down
+        argv = ["points", "1e308", "1e308", "0", "0", "-1e308", "1e308"]
+        assert run_cli(*argv) == (0, "1.5707963267948966\n", "")
+
+    def test_overflowing_difference_is_not_a_degenerate_vertex(self, run_cli):
+        assert run_cli("points", "1e308", "0", "-1e308", "0", "0", "1") == (
+            6,
+            "",
+            "error: rays point the same way; no angle between them\n",
+        )
+
+    def test_eighth_turn_with_overflowing_products(self, run_cli):
+        argv = ["points", "9" * 30, "90.000000001", "-1e308", "0.1", "-1", "-1e308"]
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "")
+        assert float(out) == pytest.approx(math.pi / 4, rel=1e-15)
 
     def test_textual_coordinate(self, run_cli):
         code, _, _ = run_cli("points", "a", "0", "0", "0", "0", "1")
@@ -634,3 +654,127 @@ def test_exit_codes_live_on_the_error_classes():
             for argument in node.exc.args:
                 assert not (isinstance(argument, ast.Constant) and isinstance(argument.value, int))
                 assert not (isinstance(argument, ast.Name) and argument.id.startswith("EXIT_"))
+
+
+# A command's human line is the values of its records, joined by a space,
+# without `exact`; `main` prints both from the one list the handler returns.
+_RECORD_COMMANDS = [
+    ["convert", "180°", "rad"],
+    ["convert", "0.1234567890123456789 rad", "deg"],
+    ["convert", "-30°", "rad", "--ascii"],
+    ["convert", "1/3 turn", "arcsec", "--digits", "5"],
+    ["measure", "180°"],
+    ["measure", "0.1234567890123456789 rad", "--digits", "3"],
+    ["measure", "1 arcmin", "--ascii"],
+    ["chord", "60°", "2"],
+    ["chord", "1 rad", "0.1", "--digits", "4"],
+    ["add", "90°", "90°"],
+    ["add", "0.1 rad", "1°", "--ascii"],
+    ["points", "1", "0", "0", "0", "0", "1"],
+    ["points", "1", "2", "3", "4", "5", "7", "--digits", "6"],
+    ["trig", "sin", "0.5"],
+    ["trig", "cos", "30", "--period", "360"],
+    ["trig", "arccos", "-1", "--period", "400"],
+    ["trig", "arcsin", "0.3", "--period", "360", "--ascii"],
+    ["classify", "45°"],
+    ["classify", "90°"],
+    ["classify", "4 rad"],
+]
+
+
+@pytest.mark.parametrize("argv", _RECORD_COMMANDS, ids=" ".join)
+def test_human_line_is_the_values_of_the_records(run_cli, argv):
+    code, records, err = run_cli(*argv, "--format", "records")
+    assert (code, err) == (0, "")
+    pairs = [line.split("=", 1) for line in records.splitlines()]
+    assert all(len(pair) == 2 for pair in pairs)
+    expected = " ".join(value for key, value in pairs if key != "exact") + "\n"
+    assert run_cli(*argv) == (0, expected, "")
+
+
+def test_only_arc_table_and_lint_print_for_themselves():
+    """Every other handler returns its records and leaves printing to `main`."""
+    import anglekit.cli
+
+    with open(anglekit.cli.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    printers = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == "print"
+    }
+    assert printers == {"_cmd_arc", "_cmd_table", "_cmd_lint"}
+
+
+_TRANSCRIPT_UNITS = ["rad", "radian", "°", "deg", "degree", "gon", "turn", "′", "arcmin",
+                     "arcminute", "″", "arcsec", "arcsecond"]
+_TRANSCRIPT_ANGLES = [
+    "180°", "90°", "45°", "0°", "360°", "370°", "-30°", "100 gon", "1 turn", "1/4 turn",
+    "π rad", "3π/4 rad", "pi/6 rad", "-π/6 rad", "180/π gon", "1/(2π) turn", "2pi rad",
+    "12°34′56″", "12d34m56s", "-12°34′56″", "1 arcmin", "1 arcsec", "0.25 rad",
+    "0.1234567890123456789 rad", "1e300 rad", "1e-300 rad", "99999999999999999999/7 rad",
+    "1/0 rad", "1.5", "1 furlong", "@@@", "", "1" * 400 + "°",
+]
+_TRANSCRIPT_RADII = ["1", "2", "3.5", "0.1", ".5", "2.", "1_000", "1e300", "1e308", "0", "-2",
+                     "inf", "nan", "wide", "1e-300", "9" * 30]
+
+
+def _transcript_angle(rng):
+    kind = rng.random()
+    if kind < 0.3:
+        return rng.choice(_TRANSCRIPT_ANGLES)
+    unit = rng.choice(_TRANSCRIPT_UNITS)
+    if kind < 0.5:
+        return f"{rng.randint(-800, 800)}{'' if unit in '°′″' else ' '}{unit}"
+    if kind < 0.65:
+        pi = rng.choice(("π", "pi", ""))
+        return f"{rng.randint(-50, 50)}{pi}/{rng.randint(1, 60)} {rng.choice(('rad', 'turn'))}"
+    if kind < 0.85:
+        return f"{rng.uniform(-400, 400):.{rng.randint(0, 20)}f} {unit}"
+    return f"{rng.randint(0, 400)}°{rng.randint(0, 59)}′{rng.randint(0, 59)}″"
+
+
+def _transcript_argv(rng):
+    """A command line that argparse accepts, for a command whose output does
+    not depend on the platform's libm (no chord, points or trig)."""
+    command = rng.choice(("convert", "measure", "arc", "add", "classify", "table"))
+    if command == "convert":
+        operands = [_transcript_angle(rng), rng.choice(_TRANSCRIPT_UNITS + ["furlong"])]
+    elif command == "arc":
+        radius = rng.choice(_TRANSCRIPT_RADII + [f"{rng.uniform(0, 1000):.{rng.randint(1, 17)}g}"])
+        operands = [_transcript_angle(rng), radius]
+    elif command == "add":
+        operands = [_transcript_angle(rng), _transcript_angle(rng)]
+    elif command == "table":
+        operands = []
+    else:
+        operands = [_transcript_angle(rng)]
+    options = ["--format", rng.choice(("human", "records"))]
+    if rng.random() < 0.5:
+        options.append("--ascii")
+    if rng.random() < 0.5:
+        options += ["--digits", str(rng.randint(1, 17))]
+    parts = [options, operands]
+    rng.shuffle(parts)
+    return [command, *parts[0], *parts[1]]
+
+
+# sha256 of (argv, exit code, stdout, stderr) over the seeded command lines.
+# A change to how the CLI builds or prints its output must leave it
+# unchanged; change it only with a deliberate change of what a command prints.
+_TRANSCRIPT_DIGEST = "e73f00cfd2b34aa0e759c48aa71d671d02b628be2e37b77699502e4de3125a29"
+
+
+def test_cli_transcripts_match_the_pinned_digest(run_cli):
+    rng = random.Random(15)
+    digest = hashlib.sha256()
+    for _ in range(2400):
+        argv = _transcript_argv(rng)
+        code, out, err = run_cli(*argv)
+        assert not err.startswith("usage:"), argv
+        digest.update(repr((argv, code, out, err)).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == _TRANSCRIPT_DIGEST

@@ -270,6 +270,31 @@ class TestAngleFromPoints:
                 PlanarPoint(1e-13, 0.0), PlanarPoint(0.0, 0.0), PlanarPoint(1.0, 0.0)
             )
 
+    @pytest.mark.parametrize("exponent", [520, 1000, 1015])
+    def test_overflowing_products_give_the_unscaled_outcome(self, exponent):
+        """Scaled by 2^520 the cross and dot products overflow, by 2^1015 the
+        differences too; the angle (to 1 ulp, for libm's atan2) or the error
+        is the unscaled one."""
+
+        def outcome(coords, scale):
+            p, vertex, q = (PlanarPoint(x * scale, y * scale) for x, y in coords)
+            try:
+                return angle_from_points(p, vertex, q).measure.value.to_float()
+            except (DegenerateVertexError, ZeroAngleError) as exc:
+                return type(exc)
+
+        rng = random.Random(exponent)
+        for _ in range(300):
+            coords = [(rng.uniform(-100, 100), rng.uniform(-100, 100)) for _ in range(3)]
+            if rng.random() < 0.2:  # rays along one line, or a ray of length 0
+                coords[2] = rng.choice([coords[0], coords[1], (2 * coords[0][0], 2 * coords[0][1])])
+            expected = outcome(coords, 1.0)
+            got = outcome(coords, 2.0**exponent)
+            if isinstance(expected, float):
+                assert abs(got - expected) <= math.ulp(expected), coords
+            else:
+                assert got is expected, coords
+
     def test_non_finite_coordinates_rejected(self):
         with pytest.raises(DomainError):
             PlanarPoint(math.inf, 0.0)
