@@ -19,7 +19,7 @@ import math
 from enum import Enum
 
 from .errors import DomainError, RangeError
-from .exact import PI, TWO_PI, ZERO, ExactScalar, Record
+from .exact import PI, TWO_PI, ZERO, ExactScalar, Record, _triple, compare_triples
 
 __all__ = [
     "ReferenceAngle",
@@ -89,6 +89,11 @@ for _ref in BUILTIN_REFERENCES:
 for _glyph, _spelling in _ASCII_SYMBOLS.items():
     _ALIASES[_spelling] = _ALIASES[_glyph]
 del _ref, _glyph, _spelling
+
+_RATIOS = {  # target/source for each pair of builtin circles, keyed by (n, d, e) triples
+    (_triple(a.full_circle), _triple(b.full_circle)): a.full_circle / b.full_circle
+    for a in BUILTIN_REFERENCES for b in BUILTIN_REFERENCES
+}
 
 
 def find_reference(token: str) -> ReferenceAngle | None:
@@ -176,13 +181,17 @@ def convert(angle: AngleValue, target: ReferenceAngle) -> AngleValue:
     """
     if target is angle.reference or target == angle.reference:
         return angle
-    factor = target.full_circle / angle.reference.full_circle
+    factor = _circle_ratio(target.full_circle, angle.reference.full_circle)
     return AngleValue(angle.value * factor, target)
 
 
 def measure_of(angle: AngleValue) -> Measure:
     """The dimensionless measure 2π·value/full_circle."""
-    return Measure(angle.value * (TWO_PI / angle.reference.full_circle))
+    return Measure(angle.value * _circle_ratio(TWO_PI, angle.reference.full_circle))
+
+
+def _circle_ratio(target: ExactScalar, source: ExactScalar) -> ExactScalar:
+    return _RATIOS.get((_triple(target), _triple(source))) or target / source
 
 
 def semigroup_add(a: Magnitude, b: Magnitude) -> Magnitude:
@@ -214,7 +223,7 @@ def reduce_principal(angle: AngleValue) -> AngleValue:
     value = angle.value
     circle = angle.reference.full_circle
     if value.is_exact:
-        if value.compare(ZERO) >= 0 and value.compare(circle) < 0:
+        if value.numerator >= 0 and value.compare(circle) < 0:
             return angle
         if value.pi_exponent == circle.pi_exponent:
             scaled = value.numerator * circle.denominator
@@ -239,6 +248,15 @@ def _fmod_positive(x: float, period: float) -> float:
     return r if r < period else 0.0
 
 
+# (boundary in quarter circles, class below it, class on it), in order.
+_LADDER = (
+    (0, None, AngleClass.ZERO),
+    (1, AngleClass.ACUTE, AngleClass.RIGHT),
+    (2, AngleClass.OBTUSE, AngleClass.STRAIGHT),
+    (4, AngleClass.REFLEX, AngleClass.PERIGON),
+)
+
+
 def classify(angle: AngleValue) -> AngleClass:
     """Name the magnitude range a value falls in.
 
@@ -249,25 +267,22 @@ def classify(angle: AngleValue) -> AngleClass:
     value = angle.value
     circle = angle.reference.full_circle
     if value.is_exact:
-        side = value.compare
-    else:
-        f = value.to_float()
-        tolerance = _CLASSIFY_TOLERANCE * circle.to_float()
+        (n, d, e), (cn, cd, ce) = _triple(value), _triple(circle)
 
-        def side(boundary: ExactScalar) -> int:
-            gap = f - boundary.to_float()
+        def side(quarters: int) -> int:
+            return compare_triples(4 * n, d, e, quarters * cn, cd, ce)
+    else:
+        f, c = value.to_float(), circle.to_float()
+        tolerance = _CLASSIFY_TOLERANCE * c
+
+        def side(quarters: int) -> int:
+            gap = f - c * quarters / 4  # c/4, c/2 and c are exact
             if abs(gap) <= tolerance:
                 return 0
             return 1 if gap > 0 else -1  # NaN lies below every boundary
 
-    ladder = (
-        (ZERO, None, AngleClass.ZERO),
-        (circle / ExactScalar(4), AngleClass.ACUTE, AngleClass.RIGHT),
-        (circle / ExactScalar(2), AngleClass.OBTUSE, AngleClass.STRAIGHT),
-        (circle, AngleClass.REFLEX, AngleClass.PERIGON),
-    )
-    for boundary, below, at in ladder:
-        against = side(boundary)
+    for quarters, below, at in _LADDER:
+        against = side(quarters)
         if against == 0:
             return at
         if against < 0:

@@ -32,6 +32,8 @@ __all__ = [
     "PI",
     "TWO_PI",
     "format_float",
+    "compare_triples",
+    "overflow_error",
 ]
 
 
@@ -104,8 +106,29 @@ def _pi_order(a: int, b: int, k: int) -> int:
             return -1
         bits *= 2
 
+
+def compare_triples(n1: int, d1: int, e1: int, n2: int, d2: int, e2: int) -> int:
+    """Sign of (n1/d1)·π^e1 − (n2/d2)·π^e2, for positive d1 and d2, decided in integers."""
+    lhs, rhs = n1 * d2, n2 * d1
+    if e1 == e2 or not n1 or not n2:
+        return (lhs > rhs) - (lhs < rhs)
+    sign = 1 if n1 > 0 else -1
+    if (n2 > 0) != (n1 > 0):
+        return sign
+    return sign * _pi_order(abs(lhs), abs(rhs), e1 - e2)
+
+
 _MAX_COMPONENT = 2**63 - 1
+_BOUND_MESSAGE = "normalized component exceeds 64-bit bound: {}/{}"
 _triple = attrgetter("numerator", "denominator", "pi_exponent")
+
+
+def overflow_error(numerator: int, denominator: int) -> ExactOverflowError | None:
+    """What `ExactScalar(numerator, denominator > 0)` raises for the 64-bit bound, or None."""
+    g = math.gcd(numerator, denominator)
+    if abs(numerator) <= _MAX_COMPONENT * g and denominator <= _MAX_COMPONENT * g:
+        return None
+    return ExactOverflowError(_BOUND_MESSAGE.format(numerator // g, denominator // g))
 
 
 def format_float(value: float, digits: int = 17) -> str:
@@ -181,9 +204,7 @@ class ExactScalar:
         if numerator == 0:
             pi_exponent = 0
         if abs(numerator) > _MAX_COMPONENT or denominator > _MAX_COMPONENT:
-            raise ExactOverflowError(
-                f"normalized component exceeds 64-bit bound: {numerator}/{denominator}"
-            )
+            raise ExactOverflowError(_BOUND_MESSAGE.format(numerator, denominator))
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "pi_exponent", pi_exponent)
@@ -361,34 +382,25 @@ class ExactScalar:
     def compare(self, other) -> int:
         """Three-way comparison: −1, 0, or +1, decided in integers.
 
-        A finite float counts as its exact binary value.  Equal exponents,
-        or a zero on either side, compare by cross-multiplication; other
-        exponents compare against `pi_bits` brackets of π, refined until
-        they decide.  Two floats, or an infinity, compare as floats, and
-        NaN refuses to order.
+        A finite float counts as its exact binary value, and the two
+        triples go to `compare_triples`.  Two floats, or an infinity,
+        compare as floats, and NaN refuses to order.
         """
         operand = self._comparable(other)
         if operand is NotImplemented:
             raise TypeError(f"cannot compare ExactScalar with {type(other).__name__}")
         if self.inexact_value is None and operand.inexact_value is None:
-            n1, d1, e1 = self.numerator, self.denominator, self.pi_exponent
-            n2, d2, e2 = operand.numerator, operand.denominator, operand.pi_exponent
-        else:
-            one_exact = self.is_exact or operand.is_exact
-            left, right = (self._ratio(), operand._ratio()) if one_exact else (None, None)
-            if left is None or right is None:
-                a, b = self.to_float(), operand.to_float()
-                if a != a or b != b:
-                    raise ValueError("cannot order NaN")
-                return (a > b) - (a < b)
-            (n1, d1, e1), (n2, d2, e2) = left, right
-        lhs, rhs = n1 * d2, n2 * d1
-        if e1 == e2 or not n1 or not n2:
-            return (lhs > rhs) - (lhs < rhs)
-        sign = 1 if n1 > 0 else -1
-        if (n2 > 0) != (n1 > 0):
-            return sign
-        return sign * _pi_order(abs(lhs), abs(rhs), e1 - e2)
+            return compare_triples(self.numerator, self.denominator, self.pi_exponent,
+                                   operand.numerator, operand.denominator, operand.pi_exponent)
+        one_exact = self.is_exact or operand.is_exact
+        left, right = (self._ratio(), operand._ratio()) if one_exact else (None, None)
+        if left is None or right is None:
+            a, b = self.to_float(), operand.to_float()
+            if a != a or b != b:
+                raise ValueError("cannot order NaN")
+            return (a > b) - (a < b)
+        (n1, d1, e1), (n2, d2, e2) = left, right  # unpacked: a starred call costs more
+        return compare_triples(n1, d1, e1, n2, d2, e2)
 
     def __eq__(self, other):
         operand = self._comparable(other)

@@ -44,7 +44,7 @@ from .errors import (
     UnknownUnitError,
     UnsupportedFormError,
 )
-from .exact import PI, ZERO, ExactScalar, Record, format_float
+from .exact import ExactScalar, Record, format_float, overflow_error
 from .trig import FORWARD_KINDS, INVERSE_KINDS
 
 __all__ = [
@@ -87,8 +87,6 @@ _DMS_RE = re.compile(
     r")?\s*\Z"
 )
 
-# Longest tokens first, so arcminute is not cut off at arcmin.
-_UNIT_TOKENS = sorted(_ALIASES, key=len, reverse=True)
 _UNIT_SYMBOLS = tuple(token for token in _ALIASES if not token.isalpha())  # °′″
 
 
@@ -133,13 +131,13 @@ def _digits_to_int(digits: str, position: int) -> int:
         raise ParseError("integer has too many digits", position) from None
 
 
-def _decimal_to_scalar(text: str, position: int) -> ExactScalar:
-    """Exact conversion of a decimal literal when it is short enough.
+def _decimal_ratio(text: str, position: int) -> tuple[int, int] | float:
+    """A decimal literal as an exact (numerator, denominator), or a float.
 
     At most 15 significant digits (trailing fractional zeros stripped
     first) guarantee an exact in-range rational; anything longer, or
-    anything whose exact form overflows the 64-bit components, degrades
-    to a flagged inexact float.  Values outside float range are errors.
+    anything whose reduced form overflows the 64-bit components, degrades
+    to a float.  Values outside float range are errors.
     """
     mantissa, _, exponent_text = text.replace("E", "e").partition("e")
     int_part, _, frac_part = mantissa.partition(".")
@@ -158,16 +156,13 @@ def _decimal_to_scalar(text: str, position: int) -> ExactScalar:
         power = shift + len(digits) - len(significant) - len(frac_part)
         if abs(shift) <= 30 and abs(power) <= 40:
             coefficient = int(significant or "0")
-            try:
-                if power >= 0:
-                    return ExactScalar(coefficient * 10**power)
-                return ExactScalar(coefficient, 10**-power)
-            except ExactOverflowError:
-                pass
+            ratio = (coefficient * 10**power, 1) if power >= 0 else (coefficient, 10**-power)
+            if overflow_error(*ratio) is None:
+                return ratio
     approx = float(text)
     if not math.isfinite(approx):
         raise ParseError(OUTSIDE_FLOAT_RANGE, position)
-    return ExactScalar.inexact(approx)
+    return approx
 
 
 def _scan_number(
@@ -190,12 +185,10 @@ def _scan_number(
         i += 1
     pi_end = _match_pi(text, i)
     if pi_end is not None:
-        i = pi_end
-        value = ExactScalar(sign, 1, 1)
+        denominator, i = 1, pi_end
         if allow_slash and text.startswith("/", i):
             denominator, i = _scan_posint(text, i + 1)
-            value = _exact_or_error(sign, denominator, 1, start)
-        return value, True, i
+        return _exact_or_error(sign, denominator, 1, start), True, i
     m = _DECIMAL_RE.match(text, i)
     if m is None:
         raise ParseError("expected a number", start)
@@ -204,15 +197,17 @@ def _scan_number(
     plain_integer = coefficient_text.isdigit()
     pi_end = _match_pi(text, i)
     if pi_end is not None:
-        i = pi_end
-        value = _attach_pi(coefficient_text, sign, start)
+        coefficient = _decimal_ratio(coefficient_text, start)
+        denominator, i = 1, pi_end
         if allow_slash and text.startswith("/", i):
             denominator, i = _scan_posint(text, i + 1)
-            try:
-                value = value / ExactScalar(denominator)
-            except ExactOverflowError as exc:
-                raise ParseError(str(exc), start) from None
-        return value, True, i
+            error = overflow_error(denominator, 1)  # past 64 bits on its own
+            if error is not None:
+                raise ParseError(str(error), start)
+        if isinstance(coefficient, float):
+            return ExactScalar.inexact(sign * coefficient * math.pi / denominator), True, i
+        numerator, scale = coefficient
+        return _exact_or_error(sign * numerator, scale * denominator, 1, start), True, i
     if allow_slash and text.startswith("/", i):
         after = i + 1
         if not plain_integer:
@@ -244,10 +239,10 @@ def _scan_number(
                 return _exact_or_error(numerator, denominator, 1, start), True, pi_end
             return _exact_or_error(numerator, denominator, 0, start), False, j
         raise ParseError("expected a denominator", after)
-    value = _decimal_to_scalar(coefficient_text, start)
-    if sign < 0:
-        value = -value
-    return value, False, i
+    value = _decimal_ratio(coefficient_text, start)
+    if isinstance(value, float):
+        return ExactScalar.inexact(sign * value), False, i
+    return ExactScalar(sign * value[0], value[1]), False, i
 
 
 def _scan_posint(text: str, i: int) -> tuple[int, int]:
@@ -258,13 +253,6 @@ def _scan_posint(text: str, i: int) -> tuple[int, int]:
     if value == 0:
         raise ParseError("denominator must be positive", i)
     return value, m.end()
-
-
-def _attach_pi(coefficient_text: str, sign: int, position: int) -> ExactScalar:
-    coefficient = _decimal_to_scalar(coefficient_text, position)
-    if sign < 0:
-        coefficient = -coefficient
-    return coefficient * PI
 
 
 def _exact_or_error(
@@ -313,14 +301,12 @@ def parse_angle(text: str) -> AngleLiteral:
 
 
 def _scan_unit(text: str, i: int) -> tuple[ReferenceAngle, int]:
-    for token in _UNIT_TOKENS:
-        if text.startswith(token, i):
-            end = i + len(token)
-            if token[-1].isalpha() and end < len(text) and (
-                text[end].isalpha() or text[end] == "_"
-            ):
-                continue
-            return _ALIASES[token], end
+    end = i
+    while end < len(text) and (text[end].isalpha() or text[end] == "_"):
+        end += 1
+    token = text[i:end] or text[i:i + 1]  # a whole run of letters and "_", or one symbol
+    if token in _ALIASES:
+        return _ALIASES[token], i + len(token)
     if i >= len(text):
         raise MissingUnitError("angle needs a unit symbol", i)
     chunk = re.match(r"\S+", text[i:]).group()
@@ -332,16 +318,16 @@ def _dms_value(m: re.Match) -> AngleValue:
     degrees = _digits_to_int(m.group("deg"), m.start("deg"))
     minutes = _digits_to_int(m.group("min") or "0", m.start("min"))
     seconds_text = m.group("sec")
-    seconds = _decimal_to_scalar(seconds_text, m.start("sec")) if seconds_text else ZERO
-    if seconds.is_exact:
-        sn, sd = seconds.numerator, seconds.denominator
+    seconds = _decimal_ratio(seconds_text, m.start("sec")) if seconds_text else (0, 1)
+    if not isinstance(seconds, float):
+        sn, sd = seconds
         try:
             value = ExactScalar(sign * ((degrees * 60 + minutes) * 60 * sd + sn), 3600 * sd)
             return AngleValue(value, DEGREE)
         except ExactOverflowError:
-            pass
+            seconds = sn / sd
     try:
-        approx = sign * (degrees + minutes / 60.0 + seconds.to_float() / 3600.0)
+        approx = sign * (degrees + minutes / 60.0 + seconds / 3600.0)
     except OverflowError:  # degrees past float range
         approx = math.inf
     if not math.isfinite(approx):
@@ -458,10 +444,58 @@ def _format_dms(angle: AngleValue, digits: int, ascii_only: bool) -> str:
 
 
 class ExpressionNode(Record):
+    """A node of an expression tree.
+
+    Sums and products parse left-deep, so a long line is a deep tree.
+    ==, hash, repr and pickling therefore walk the tree with an explicit
+    stack, and give what `Record`'s field-by-field recursion would.
+    """
+
     __slots__ = ("position",)
 
     def __init__(self, position: int):
         object.__setattr__(self, "position", position)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__reduce__()[1] == other.__reduce__()[1]
+
+    def __hash__(self):
+        # A stack of results pops each node's children in field order.
+        hashes = []
+        pop = hashes.pop
+        for node in _postorder(self):
+            values = [_Hashed(pop()) if isinstance(v, ExpressionNode) else v for v in node._values(node)]
+            hashes.append(hash(tuple(values)))
+        return hashes[0]
+
+    def __repr__(self):
+        parts, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                parts.append(node)
+                continue
+            parts.append(type(node).__qualname__ + "(")
+            stack.append(")")
+            names, values = node._fields, node._values(node)
+            for index in range(len(names) - 1, -1, -1):
+                value = values[index]
+                stack.append(value if isinstance(value, ExpressionNode) else repr(value))
+                stack.append((", " if index else "") + names[index] + "=")
+        return "".join(parts)
+
+    def __reduce__(self):
+        # One flat list in _postorder: per node its class, a bit mask of
+        # the fields that hold a child, then its other fields.  It decides
+        # the tree, so __eq__ compares these lists.
+        postfix = []
+        for node in _postorder(self):
+            values = node._values(node)
+            mask = sum(1 << i for i, v in enumerate(values) if isinstance(v, ExpressionNode))
+            postfix += (type(node), mask, *[v for v in values if not isinstance(v, ExpressionNode)])
+        return _build_tree, (postfix,)
 
 
 class NumberLiteral(ExpressionNode):
@@ -507,6 +541,42 @@ class BinaryOperation(ExpressionNode):
         object.__setattr__(self, "operator", operator)  # one of + * / =
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
+
+
+class _Hashed:
+    """Stands in for a subtree in a tuple: hashes as the subtree does."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def _postorder(root: ExpressionNode) -> list:
+    """root and its subtrees, each node after its children, last child first.
+
+    A child is any field that holds an `ExpressionNode`, the test that
+    ==, hash, repr and pickling share.
+    """
+    preorder, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        stack += [v for v in node._values(node)[::-1] if isinstance(v, ExpressionNode)]
+    return preorder[::-1]
+
+
+def _build_tree(postfix: list) -> ExpressionNode:
+    """The tree that `ExpressionNode.__reduce__` flattened into postfix."""
+    built, items = [], iter(postfix)
+    for cls in items:
+        mask = next(items)
+        values = [built.pop() if mask >> i & 1 else next(items) for i in range(len(cls._fields))]
+        built.append(cls(*values))
+    return built[0]
 
 
 def walk(node: ExpressionNode):

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,6 +31,7 @@ from anglekit.angles import (
 )
 from anglekit.errors import DomainError, RangeError
 from anglekit.exact import PI, TWO_PI, ExactScalar
+from anglekit.trig import reference_for_period
 
 
 def _deg(n, d=1):
@@ -414,3 +416,186 @@ def test_measure_is_reference_independent(fraction_of_circle, a, b):
     in_a = AngleValue(a.full_circle * ExactScalar(fraction_of_circle.numerator, fraction_of_circle.denominator), a)
     in_b = convert(in_a, b)
     assert measure_of(in_a).value == measure_of(in_b).value
+
+
+# ----------------------------------------------------------------------
+# The angle layer against an oracle: Fraction arithmetic on q·π^e, and
+# mpmath at 50 digits wherever two π exponents differ.
+
+_ORACLE_REFERENCES = BUILTIN_REFERENCES + (reference_for_period(ExactScalar(2, 3, 1)),)
+_CLASS_BOUNDS = (
+    (Fraction(1, 4), AngleClass.ACUTE, AngleClass.RIGHT),
+    (Fraction(1, 2), AngleClass.OBTUSE, AngleClass.STRAIGHT),
+    (Fraction(1), AngleClass.REFLEX, AngleClass.PERIGON),
+)
+# Operands of semigroup_add: exact π, plain and reciprocal-π exponents.
+# None sums to within 0.3 of π with a measure in (0, π] that lies near a
+# quarter-circle boundary, so no float decision in the fold is close.
+_PARTNERS = (ExactScalar(1, 3, 1), ExactScalar(1), ExactScalar(2, 1, -1))
+
+
+def _fraction(x):
+    return Fraction(x.numerator, x.denominator)
+
+
+def _real(q, e):
+    return mpmath.mpf(q.numerator) / q.denominator * mpmath.pi**e
+
+
+def _real_of(x):
+    return _real(_fraction(x), x.pi_exponent) if x.is_exact else mpmath.mpf(x.inexact_value)
+
+
+def _circle(reference):
+    return _fraction(reference.full_circle), reference.full_circle.pi_exponent
+
+
+def _oracle_values(reference):
+    """Every quarter boundary of the circle hit exactly where the exponent
+    allows, and the nearest exact values on either side of it: a step of
+    2^-40 of its denominator, or the two neighbours of denominator 10^12
+    when the exponent differs from the circle's."""
+    c, ce = _circle(reference)
+    values = []
+    for quarters in (0, 1, 2, 4):
+        boundary = c * quarters / 4
+        for e in (-1, 0, 1):
+            if e == ce:
+                step = Fraction(1, boundary.denominator * 2**40)
+                coefficients = [boundary - step, boundary, boundary + step]
+            else:
+                scaled = _real(boundary, ce - e) * 10**12
+                coefficients = [
+                    Fraction(int(mpmath.ceil(scaled)) - 1, 10**12),
+                    Fraction(int(mpmath.floor(scaled)) + 1, 10**12),
+                ]
+            values += [ExactScalar(q.numerator, q.denominator, e) for q in coefficients]
+    return values
+
+
+def _expected_class(q, e, c, ce):
+    """The class of q·π^e against the circle c·π^ce, or RangeError."""
+    share = q / c if e == ce or q == 0 else _real(q, e) / _real(c, ce)
+    if share < 0 or share > 1:
+        return RangeError
+    if share == 0:
+        return AngleClass.ZERO
+    for bound, below, at in _CLASS_BOUNDS:
+        if not isinstance(share, Fraction):  # irrational, so never on a bound
+            bound = _real(bound, 0)
+        if share == bound:
+            return at
+        if share < bound:
+            return below
+
+
+def _expected_product(q, e, ratio, ratio_exponent):
+    """q·π^e times ratio·π^ratio_exponent: a triple while the exponent
+    stays in −1..1, else the float the product rounds to."""
+    exponent = e + ratio_exponent
+    if q == 0:
+        return (0, 1, 0)
+    if -1 <= exponent <= 1:
+        p = q * ratio
+        return (p.numerator, p.denominator, exponent)
+    return float(_real(q * ratio, exponent))
+
+
+def _expected_sum(a, b):
+    """semigroup_add of a and b, both in (0, π]: exact while both are
+    exact with one exponent and the fold (if any) keeps it, else a float."""
+    if a.is_exact and b.is_exact and a.pi_exponent == b.pi_exponent:
+        total, e = _fraction(a) + _fraction(b), a.pi_exponent
+        if _real(total, e) <= mpmath.pi:
+            return (total.numerator, total.denominator, e)
+        if e == 1:
+            return ((total - 1).numerator, (total - 1).denominator, 1)
+    total = _real_of(a) + _real_of(b)
+    return float(total - mpmath.pi if total > mpmath.pi else total)
+
+
+def _assert_scalar(result, expected):
+    if isinstance(expected, tuple):
+        assert result.is_exact
+        assert (result.numerator, result.denominator, result.pi_exponent) == expected
+    else:
+        assert not result.is_exact
+        assert result.inexact_value == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("reference", _ORACLE_REFERENCES, ids=[r.name for r in _ORACLE_REFERENCES])
+def test_angle_layer_against_the_oracle(reference):
+    c, ce = _circle(reference)
+    with mpmath.workdps(50):
+        for value in _oracle_values(reference):
+            q, e = _fraction(value), value.pi_exponent
+            angle = AngleValue(value, reference)
+
+            expected = _expected_class(q, e, c, ce)
+            if expected is RangeError:
+                with pytest.raises(RangeError):
+                    classify(angle)
+            else:
+                assert classify(angle) is expected, value
+
+            folded = reduce_principal(angle)
+            assert folded.reference is reference
+            real, circle = _real(q, e), _real(c, ce)
+            if 0 <= real < circle:
+                assert folded is angle
+            elif e == ce:
+                rest = q - c * math.floor(q / c)
+                _assert_scalar(folded.value, (rest.numerator, rest.denominator, e if rest else 0))
+            else:
+                assert not folded.value.is_exact
+                gap = abs(folded.value.inexact_value - float(real % circle))
+                assert min(gap, float(circle) - gap) <= 1e-12 * float(circle)
+
+            measure = measure_of(angle).value
+            _assert_scalar(measure, _expected_product(q, e, 2 / c, 1 - ce))
+            for target in _ORACLE_REFERENCES:
+                tc, tce = _circle(target)
+                _assert_scalar(convert(angle, target).value, _expected_product(q, e, tc / c, tce - ce))
+
+            if 0 < _real_of(measure) <= mpmath.pi:
+                partners = _PARTNERS
+                if measure.pi_exponent == 1 and measure != PI:  # and its complement: π exactly
+                    partners += (PI - measure,)
+                for partner in partners:
+                    total = semigroup_add(Magnitude(Measure(measure)), Magnitude(Measure(partner)))
+                    _assert_scalar(total.measure.value, _expected_sum(measure, partner))
+
+
+# ----------------------------------------------------------------------
+# Exact decisions build no scalar, and an exact result builds one.
+
+
+def test_exact_results_are_built_once(monkeypatch):
+    built = []
+    init = ExactScalar.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def constructions(call):
+        built.clear()
+        call()
+        return len(built)
+
+    angle = AngleValue(ExactScalar(123, 7), DEGREE)
+    monkeypatch.setattr(ExactScalar, "__init__", counting)
+    for value, reference in [
+        (ExactScalar(90), DEGREE),
+        (ExactScalar(5, 7), DEGREE),
+        (ExactScalar(3, 4, 1), RADIAN),
+        (ExactScalar(300), GON),
+        (ExactScalar(3, 2), RADIAN),
+        (ExactScalar(100, 1, -1), DEGREE),
+        (ExactScalar(0), TURN),
+        (ExactScalar(1), TURN),
+    ]:
+        assert constructions(lambda: classify(AngleValue(value, reference))) == 0
+    assert constructions(lambda: convert(angle, RADIAN)) == 1
+    assert constructions(lambda: convert(angle, ARCSECOND)) == 1
+    assert constructions(lambda: measure_of(angle)) == 1

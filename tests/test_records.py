@@ -26,6 +26,7 @@ from anglekit.textio import (
     QuantityLiteral,
     parse_angle,
     parse_expression,
+    walk,
 )
 from anglekit.trig import PeriodizedFunction, UnitCirclePoint
 
@@ -289,3 +290,68 @@ def test_fractions_loaded_after_anglekit_still_mix_with_exact_scalars():
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, check=True)
+
+
+def test_a_deep_expression_tree_compares_hashes_prints_and_copies():
+    # Sums parse left-deep: a chain of n terms is a tree n levels deep.
+    text = " + ".join(["1"] * 1200)
+    tree = parse_expression(text)
+    twin = parse_expression(text)
+    assert tree == twin and not tree != twin
+    assert hash(tree) == hash(twin)
+    assert tree != parse_expression(text + " + 2")
+    text_form = repr(tree)
+    assert text_form.startswith("BinaryOperation(position=4794, operator='+', left=BinaryOperation(")
+    for copied in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert type(copied) is BinaryOperation
+        assert copied == tree
+        assert hash(copied) == hash(tree)
+        assert repr(copied) == text_form
+
+
+def test_a_tree_of_100000_levels_survives_every_record_operation():
+    tree = parse_expression(" + ".join(["x"] * 100_000))
+    for copied in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert copied == tree
+    assert isinstance(hash(tree), int)
+    assert repr(tree).count("Identifier(") == 100_000
+
+
+def test_tree_records_match_the_field_recursion():
+    # ==, hash and repr of a tree equal the field-by-field recursion of a
+    # plain record, whichever node kinds it holds.
+    tree = parse_expression("a = sin(30 deg) * -2 / (2π + y) + x")
+    for node in list(walk(tree))[::-1]:
+        values = tuple(getattr(node, name) for name in node._fields)
+        assert hash(node) == hash(values)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(node._fields, values))
+        assert repr(node) == f"{type(node).__qualname__}({fields})"
+        assert node == type(node)(*values)
+        assert pickle.loads(pickle.dumps(node)) == node
+    assert tree != parse_expression("a = sin(30 deg) * -2 / (2π + y) + z")
+    assert BinaryOperation(0, "+", X, X) != BinaryOperation(0, "+", X, NumberLiteral(0, "x"))
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        FunctionApplication(0, "sin", None),
+        BinaryOperation(0, "+", 1, 2),
+        BinaryOperation(0, "+", X, "y"),
+        BinaryOperation(0, "*", FunctionApplication(1, "cos", 3.5), X),
+    ],
+    ids=repr,
+)
+def test_a_child_field_holding_a_non_node_is_a_leaf(node):
+    # Constructors do not check their children: a non-node in a child
+    # field is a plain value to ==, hash, repr and pickling alike, as it
+    # is to a plain record.
+    values = tuple(getattr(node, name) for name in node._fields)
+    assert hash(node) == hash(values)
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(node._fields, values))
+    assert repr(node) == f"{type(node).__qualname__}({fields})"
+    for copied in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+        assert type(copied) is type(node)
+        assert copied == node
+        assert hash(copied) == hash(node)
+        assert repr(copied) == repr(node)

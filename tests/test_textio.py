@@ -707,3 +707,84 @@ class TestPlainDecimalBoundary:
             return
         assert isinstance(node, NumberLiteral) and node.position == 0
         _assert_decimal(node.value, literal, int(follower == "π"))
+
+
+# Edges of the literal scanner where the order of its checks shows: a
+# coefficient past float range fails before the denominator is read, an
+# overlong denominator after a written coefficient is named as the scalar
+# it would make, a coefficient past 64 bits degrades to a float before
+# the denominator can reduce it, and a unit word is a whole run of
+# letters.  Each outcome is (numerator, denominator, π exponent) or a
+# float, with the reference name; or the error's class, message and
+# position.
+_BOUND = "normalized component exceeds 64-bit bound: "
+_SCANNER_EDGES = [
+    ("1e400π/", (ParseError, "number is outside float range", 0)),
+    ("1e400pi/turn", (ParseError, "number is outside float range", 0)),
+    ("1e400pi/″radianx", (ParseError, "number is outside float range", 0)),
+    ("2π/99999999999999999999′", (ParseError, _BOUND + "99999999999999999999/1", 0)),
+    (
+        "99999999999999999999pi/999999999999999999991′",
+        (ParseError, _BOUND + "999999999999999999991/1", 0),
+    ),
+    ("π/99999999999999999999′", (ParseError, _BOUND + "1/99999999999999999999", 0)),
+    ("1π/9223372036854775808 rad", (ParseError, _BOUND + "9223372036854775808/1", 0)),
+    ("-π/0 rad", (ParseError, "denominator must be positive", 3)),
+    ("2π/ rad", (ParseError, "expected a positive integer", 3)),
+    ("-12.5 °", ((-25, 2, 0), "degree")),
+    ("+3 rad", ((3, 1, 0), "radian")),
+    ("-0 rad", ((0, 1, 0), "radian")),
+    ("+0.25turn", ((1, 4, 0), "turn")),
+    ("-2.5π/4 rad", ((-5, 8, 1), "radian")),
+    ("+π/2 rad", ((1, 2, 1), "radian")),
+    ("-7/2π rad", ((-7, 2, 1), "radian")),
+    ("5e-19π rad", ((1, 2 * 10**18, 1), "radian")),
+    ("1e30π/1000000000000000 rad", (1e30 * math.pi / 1e15, "radian")),
+    ("99999999999999999999pi/7 rad", (1e20 * math.pi / 7, "radian")),
+    ("0.000000000000000000001π/3 rad", (1e-21 * math.pi / 3, "radian")),
+    ("-1e-400π rad", (-0.0, "radian")),
+    ("1e308π rad", (math.inf, "radian")),
+    ("-1e308pi/3 rad", (-math.inf, "radian")),
+    ("90 arcminute", ((90, 1, 0), "arcminute")),
+    ("90 radé", (UnknownUnitError, "unknown unit 'radé'", 3)),
+    ("90 rad_", (UnknownUnitError, "unknown unit 'rad_'", 3)),
+    ("90 degrees", (UnknownUnitError, "unknown unit 'degrees'", 3)),
+    ("90 rad²", (ParseError, "unexpected trailing text", 6)),
+    ("90°x", (ParseError, "unexpected trailing text", 3)),
+]
+
+
+@pytest.mark.parametrize("text, outcome", _SCANNER_EDGES, ids=[text for text, _ in _SCANNER_EDGES])
+def test_scanner_edges(text, outcome):
+    if isinstance(outcome[0], type):
+        with pytest.raises(ParseError) as excinfo:
+            parse_angle(text)
+        assert (type(excinfo.value), excinfo.value.message, excinfo.value.position) == outcome
+        return
+    value = parse_angle(text).parsed
+    expected, reference = outcome
+    assert value.reference.name == reference
+    if isinstance(expected, tuple):
+        assert value.value == ExactScalar(*expected)
+        assert (value.value.numerator, value.value.denominator, value.value.pi_exponent) == expected
+    else:
+        assert not value.value.is_exact
+        assert math.copysign(1, value.value.inexact_value) == math.copysign(1, expected)
+        assert value.value.inexact_value == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["3π/4 rad", "-π/2 rad", "2.5π/3 turn", "180/π °", "1/(2π) turn", "7/2 °", "-12.5 °", "1.5e2 gon", "12°34′56″"],
+)
+def test_a_literal_builds_one_scalar(monkeypatch, text):
+    built = []
+    init = ExactScalar.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ExactScalar, "__init__", counting)
+    parse_angle(text)
+    assert len(built) == 1
