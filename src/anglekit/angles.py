@@ -63,14 +63,16 @@ class ReferenceAngle(Record):
 
     def __init__(self, name: str, symbol: str, full_circle: ExactScalar):
         check_full_circle(full_circle)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "symbol", symbol)
-        object.__setattr__(self, "full_circle", full_circle)
+        _set_name(self, name)
+        _set_symbol(self, symbol)
+        _set_full_circle(self, full_circle)
 
     def __str__(self):
         return self.symbol
 
 
+_set_name, _set_symbol = ReferenceAngle.name.__set__, ReferenceAngle.symbol.__set__
+_set_full_circle = ReferenceAngle.full_circle.__set__
 RADIAN = ReferenceAngle("radian", "rad", TWO_PI)
 DEGREE = ReferenceAngle("degree", "°", ExactScalar(360))
 GON = ReferenceAngle("gon", "gon", ExactScalar(400))
@@ -112,8 +114,8 @@ class AngleValue(Record):
     __slots__ = ("value", "reference")
 
     def __init__(self, value: ExactScalar, reference: ReferenceAngle):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "reference", reference)
+        _set_value(self, value)
+        _set_reference(self, reference)
 
     def __str__(self):
         return f"{self.value} {self.reference.symbol}"
@@ -129,7 +131,7 @@ class Measure(Record):
     __slots__ = ("value",)
 
     def __init__(self, value: ExactScalar):
-        object.__setattr__(self, "value", value)
+        _set_measure_value(self, value)
 
     def __str__(self):
         return str(self.value)
@@ -152,10 +154,14 @@ class Magnitude(Record):
     def __init__(self, measure: Measure):
         if not in_magnitude_range(measure.value):
             raise DomainError("a magnitude requires a measure in (0, 2π]")
-        object.__setattr__(self, "measure", measure)
+        _set_measure(self, measure)
 
     def __str__(self):
         return str(self.measure)
+
+
+_set_value, _set_reference = AngleValue.value.__set__, AngleValue.reference.__set__
+_set_measure_value, _set_measure = Measure.value.__set__, Magnitude.measure.__set__
 
 
 class AngleClass(Enum):

@@ -205,19 +205,19 @@ class ExactScalar:
             pi_exponent = 0
         if abs(numerator) > _MAX_COMPONENT or denominator > _MAX_COMPONENT:
             raise ExactOverflowError(_BOUND_MESSAGE.format(numerator, denominator))
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "pi_exponent", pi_exponent)
-        object.__setattr__(self, "inexact_value", None)
+        _set_numerator(self, numerator)
+        _set_denominator(self, denominator)
+        _set_pi_exponent(self, pi_exponent)
+        _set_inexact(self, None)
 
     @classmethod
     def inexact(cls, value: float) -> "ExactScalar":
         """Wrap a float as an explicitly inexact scalar."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "numerator", None)
-        object.__setattr__(obj, "denominator", None)
-        object.__setattr__(obj, "pi_exponent", None)
-        object.__setattr__(obj, "inexact_value", float(value))
+        _set_numerator(obj, None)
+        _set_denominator(obj, None)
+        _set_pi_exponent(obj, None)
+        _set_inexact(obj, float(value))
         return obj
 
     __setattr__ = __delattr__ = Record.__setattr__
@@ -482,6 +482,9 @@ class ExactScalar:
         return f"ExactScalar.inexact({self.inexact_value!r})"
 
 
+# Bound slot setters: __init__ writes each slot once through them, at half object.__setattr__'s cost.
+_set_numerator, _set_denominator = ExactScalar.numerator.__set__, ExactScalar.denominator.__set__
+_set_pi_exponent, _set_inexact = ExactScalar.pi_exponent.__set__, ExactScalar.inexact_value.__set__
 ZERO = ExactScalar(0)
 ONE = ExactScalar(1)
 PI = ExactScalar(1, 1, 1)

@@ -37,8 +37,8 @@ class PlanarPoint(Record):
     def __init__(self, x: float, y: float):
         if not (math.isfinite(x) and math.isfinite(y)):
             raise DomainError("planar points need finite coordinates")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        _set_x(self, x)
+        _set_y(self, y)
 
 
 def check_radius(radius: float) -> None:
@@ -56,8 +56,12 @@ class ArcSpec(Record):
         check_radius(radius)
         if not in_magnitude_range(measure.value):
             raise RangeError("arc measure must lie in (0, 2π]")
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "measure", measure)
+        _set_radius(self, radius)
+        _set_measure(self, measure)
+
+
+_set_x, _set_y = PlanarPoint.x.__set__, PlanarPoint.y.__set__
+_set_radius, _set_measure = ArcSpec.radius.__set__, ArcSpec.measure.__set__
 
 
 def angle_from_points(p: PlanarPoint, vertex: PlanarPoint, q: PlanarPoint) -> Magnitude:

@@ -70,11 +70,16 @@ class LintFinding(Record):
     __slots__ = ("rule", "line", "column", "message", "excerpt")
 
     def __init__(self, rule: str | None, line: int, column: int, message: str, excerpt: str):
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "column", column)
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "excerpt", excerpt)
+        _set_rule(self, rule)
+        _set_line(self, line)
+        _set_column(self, column)
+        _set_message(self, message)
+        _set_excerpt(self, excerpt)
+
+
+_set_rule, _set_line = LintFinding.rule.__set__, LintFinding.line.__set__
+_set_column, _set_message = LintFinding.column.__set__, LintFinding.message.__set__
+_set_excerpt = LintFinding.excerpt.__set__
 
 
 def lint_text(text: str) -> list[LintFinding]:
@@ -124,7 +129,7 @@ def _lint_line(line: str, line_number: int, declared: dict[str, str]) -> list[Li
             LintFinding(None, line_number, exc.position + 1, exc.message, excerpt)
         ]
     found: list[LintFinding] = []
-    if full is not None:
+    if full is not None and "(" in line:  # a FunctionApplication is a word and a "("
         found.extend(_check_trig_arguments(full, line_number, excerpt))
     if target is not None and declared.get(target) == "angle" and right is not None:
         found.extend(_check_bare_number(right, line_number, excerpt))

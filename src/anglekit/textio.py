@@ -96,9 +96,9 @@ class AngleLiteral(Record):
     __slots__ = ("raw", "parsed", "form")
 
     def __init__(self, raw: str, parsed: AngleValue, form: str):
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "parsed", parsed)
-        object.__setattr__(self, "form", form)
+        _set_raw(self, raw)
+        _set_parsed(self, parsed)
+        _set_form(self, form)
 
 
 # ----------------------------------------------------------------------
@@ -454,7 +454,7 @@ class ExpressionNode(Record):
     __slots__ = ("position",)
 
     def __init__(self, position: int):
-        object.__setattr__(self, "position", position)
+        _set_position(self, position)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -502,45 +502,54 @@ class NumberLiteral(ExpressionNode):
     __slots__ = ("value",)
 
     def __init__(self, position: int, value: ExactScalar):
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "value", value)
+        _set_position(self, position)
+        _set_number(self, value)
 
 
 class QuantityLiteral(ExpressionNode):
     __slots__ = ("value", "reference", "unit_text")
 
     def __init__(self, position: int, value: ExactScalar, reference: ReferenceAngle, unit_text: str):
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "reference", reference)
-        object.__setattr__(self, "unit_text", unit_text)
+        _set_position(self, position)
+        _set_quantity(self, value)
+        _set_reference(self, reference)
+        _set_unit_text(self, unit_text)
 
 
 class Identifier(ExpressionNode):
     __slots__ = ("name",)
 
     def __init__(self, position: int, name: str):
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "name", name)
+        _set_position(self, position)
+        _set_identifier(self, name)
 
 
 class FunctionApplication(ExpressionNode):
     __slots__ = ("name", "argument")
 
     def __init__(self, position: int, name: str, argument: ExpressionNode):
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "argument", argument)
+        _set_position(self, position)
+        _set_function(self, name)
+        _set_argument(self, argument)
 
 
 class BinaryOperation(ExpressionNode):
     __slots__ = ("operator", "left", "right")
 
     def __init__(self, position: int, operator: str, left: ExpressionNode, right: ExpressionNode):
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "operator", operator)  # one of + * / =
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        _set_position(self, position)
+        _set_operator(self, operator)  # one of + * / =
+        _set_left(self, left)
+        _set_right(self, right)
+
+
+_set_raw, _set_parsed = AngleLiteral.raw.__set__, AngleLiteral.parsed.__set__
+_set_form, _set_position = AngleLiteral.form.__set__, ExpressionNode.position.__set__
+_set_number, _set_quantity = NumberLiteral.value.__set__, QuantityLiteral.value.__set__
+_set_reference, _set_unit_text = QuantityLiteral.reference.__set__, QuantityLiteral.unit_text.__set__
+_set_identifier, _set_function = Identifier.name.__set__, FunctionApplication.name.__set__
+_set_argument, _set_operator = FunctionApplication.argument.__set__, BinaryOperation.operator.__set__
+_set_left, _set_right = BinaryOperation.left.__set__, BinaryOperation.right.__set__
 
 
 class _Hashed:

@@ -55,8 +55,8 @@ class PeriodizedFunction(Record):
         if kind not in FORWARD_KINDS:
             raise ValueError(f"kind must be one of {FORWARD_KINDS}")
         check_full_circle(period)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "period", period)
+        _set_kind(self, kind)
+        _set_period(self, period)
 
     def __call__(self, x: float) -> float:
         return eval_periodized(self, x)
@@ -70,8 +70,12 @@ class UnitCirclePoint(Record):
     def __init__(self, re: float, im: float):
         if not abs(re * re + im * im - 1.0) <= 1e-12:  # NaN and inf fail too
             raise ValueError("point is off the unit circle")
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        _set_re(self, re)
+        _set_im(self, im)
+
+
+_set_kind, _set_period = PeriodizedFunction.kind.__set__, PeriodizedFunction.period.__set__
+_set_re, _set_im = UnitCirclePoint.re.__set__, UnitCirclePoint.im.__set__
 
 
 def _scaled_argument(x: float, period: ExactScalar) -> float:

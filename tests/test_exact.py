@@ -59,6 +59,36 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             PI.numerator = 2  # type: ignore[misc]
 
+    @pytest.mark.parametrize("field", ["numerator", "denominator", "pi_exponent", "inexact_value"])
+    @pytest.mark.parametrize(
+        "value", [ExactScalar(3, 7, 1), ExactScalar.inexact(0.25)], ids=["exact", "inexact"]
+    )
+    def test_every_field_refuses_assignment_and_deletion(self, value, field):
+        before = getattr(value, field)
+        with pytest.raises(AttributeError, match="^ExactScalar is immutable$"):
+            setattr(value, field, 1)
+        with pytest.raises(AttributeError, match="^ExactScalar is immutable$"):
+            delattr(value, field)
+        assert getattr(value, field) is before
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((1.5,), TypeError, "exact components must be integers"),
+            ((1, 2.0), TypeError, "exact components must be integers"),
+            ((1, 1, 1.0), TypeError, "pi_exponent must be an integer"),
+            ((1, 0), ZeroDivisionError, "denominator must be nonzero"),
+            ((1, 1, 2), ValueError, "pi_exponent must be -1, 0, or 1"),
+            ((2**63,), ExactOverflowError, "normalized component exceeds 64-bit bound: 9223372036854775808/1"),
+            ((3, -(2**64)), ExactOverflowError, "normalized component exceeds 64-bit bound: -3/18446744073709551616"),
+        ],
+    )
+    def test_constructor_errors_keep_their_class_and_message(self, args, error, message):
+        with pytest.raises(error) as caught:
+            ExactScalar(*args)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
 
 class TestToFloat:
     def test_half_pi(self):

@@ -1,12 +1,15 @@
 """Linter rules, declaration tracking, positions, and totality."""
 
+import random
 import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from anglekit import lint
 from anglekit.angles import _ALIASES
+from anglekit.errors import ParseError
 from anglekit.lint import (
     RULE_MAGNITUDE_AS_QUOTIENT,
     RULE_MISSING_REFERENCE_SYMBOL,
@@ -78,6 +81,100 @@ class TestTrigArgumentRule:
 
     def test_bare_trig_call_without_assignment(self):
         assert rules_of("sin(1 turn)") == [(RULE_RAD_IN_TRIG_ARG, 1)]
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("y = sin (30 deg)", [(10, "sin", "deg")]),
+            ("y = 2 * cos((1 rad)) + tan(a)", [(14, "cos", "rad")]),
+            ("y = sin(exp(2 deg))", [(13, "sin", "deg")]),
+        ],
+    )
+    def test_column_and_message_of_calls_spaced_grouped_and_nested(self, text, expected):
+        findings = lint_text(text)
+        assert [(f.rule, f.line, f.column, f.message) for f in findings] == [
+            (
+                RULE_RAD_IN_TRIG_ARG,
+                1,
+                column,
+                f"argument of {trig}() carries the unit '{unit}'; pass the dimensionless measure",
+            )
+            for column, trig, unit in expected
+        ]
+
+
+_CORPUS_NAMES = ("a", "b", "s", "r", "x", "y")
+_CORPUS_UNITS = ("rad", "deg", "°", "′", "″", "gon", "turn", "arcmin")
+_CORPUS_FUNCTIONS = ("sin", "cos", "tan", "arcsin", "arccos", "exp")
+
+
+def _corpus_expression(rng, depth=0):
+    roll = rng.random()
+    if depth >= 3 or roll < 0.4:
+        leaf = rng.random()
+        if leaf < 0.3:
+            return rng.choice(("2", "0.5", "pi", "3π/4", "12"))
+        if leaf < 0.6:
+            unit = rng.choice(_CORPUS_UNITS)
+            return f"{rng.randint(1, 90)}{'' if unit in '°′″' else ' '}{unit}"
+        return rng.choice(_CORPUS_NAMES)
+    if roll < 0.6:
+        space = " " if rng.random() < 0.2 else ""
+        return f"{rng.choice(_CORPUS_FUNCTIONS)}{space}({_corpus_expression(rng, depth + 1)})"
+    if roll < 0.7:
+        return f"({_corpus_expression(rng, depth + 1)})"
+    operator = rng.choice(("+", "*", "/"))
+    return f"{_corpus_expression(rng, depth + 1)} {operator} {_corpus_expression(rng, depth + 1)}"
+
+
+def _corpus_line(rng):
+    roll = rng.random()
+    if roll < 0.1:
+        return f"{rng.choice(('angle', 'length'))} {rng.choice(_CORPUS_NAMES)}"
+    if roll < 0.35:
+        return f"angle {rng.choice(_CORPUS_NAMES)} = {_corpus_expression(rng)}"
+    if roll < 0.45:
+        return rng.choice(("sin(", "x = ", ")", "sin x", "y = tan(1 rad", "", "junk ( junk"))
+    if roll < 0.55:
+        return _corpus_expression(rng)
+    return f"{rng.choice(_CORPUS_NAMES)} = {_corpus_expression(rng)}"
+
+
+def _lint_with_every_trig_walk(text):
+    """lint_text's findings, with the trig walk run on every line that parses."""
+    whole = lint_text(text)
+    expected = []
+    for line_number, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        others = [f for f in whole if f.line == line_number and f.rule != RULE_RAD_IN_TRIG_ARG]
+        try:
+            m = lint._STATEMENT_RE.match(line)
+            if m is None:
+                full = lint.parse_expression(line)
+            elif m.group("expr") is not None and m.group("expr").strip():
+                full = lint.parse_expression(m.group("expr"), m.start("expr"))
+            else:
+                full = None
+        except ParseError:
+            full = None
+        trig = [] if full is None else lint._check_trig_arguments(full, line_number, line.strip())
+        expected += sorted(trig + others, key=lambda finding: finding.column)
+    return expected
+
+
+def test_lines_without_a_call_lose_no_trig_finding():
+    rng = random.Random(20261019)
+    lines_without_a_call = trig_findings = 0
+    for _ in range(150):
+        lines = [_corpus_line(rng) for _ in range(20)]
+        text = "\n".join(lines)
+        findings = lint_text(text)
+        assert findings == _lint_with_every_trig_walk(text)
+        lines_without_a_call += sum(line.strip() != "" and "(" not in line for line in lines)
+        trig_findings += sum(f.rule == RULE_RAD_IN_TRIG_ARG for f in findings)
+    assert lines_without_a_call > 1000
+    assert trig_findings > 300
 
 
 class TestMissingReferenceRule:

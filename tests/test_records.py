@@ -3,17 +3,20 @@ immutability, validation, copying and pickling, and the import set."""
 
 import ast
 import copy
+import importlib
 import os
 import pathlib
 import pickle
 import subprocess
 import sys
+import types
 
 import pytest
 
 from anglekit.angles import DEGREE, RADIAN, AngleValue, Magnitude, Measure, ReferenceAngle
 from anglekit.errors import DomainError, RadiusError, RangeError
-from anglekit.exact import ONE, PI, ExactScalar
+from anglekit import exact as exact_module
+from anglekit.exact import ONE, PI, ExactScalar, Record
 from anglekit.geometry import ArcSpec, PlanarPoint
 from anglekit.lint import LintFinding, lint_text
 from anglekit.textio import (
@@ -246,6 +249,54 @@ def test_exact_scalar_fields_cannot_be_deleted():
     with pytest.raises(AttributeError):
         del value.numerator
     assert value.numerator == 1
+
+
+def _modules_of_the_package():
+    import anglekit
+
+    return [
+        importlib.import_module(f"anglekit.{path.stem}")
+        for path in sorted(pathlib.Path(anglekit.__file__).parent.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+
+
+def test_no_record_is_built_through_object_setattr():
+    """Records set their slots through the slot setters, which are about twice as fast."""
+    calls = []
+    for module in _modules_of_the_package():
+        tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+        calls += [
+            f"{module.__name__}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        ]
+    assert calls == []
+
+
+def test_each_slot_has_one_setter_that_refuses_other_classes():
+    modules = _modules_of_the_package()
+    setters = [value for module in modules for name, value in vars(module).items() if name.startswith("_set_")]
+    slots = [
+        cls.__dict__[name]
+        for module in modules
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, (Record, ExactScalar)) and cls.__module__ == module.__name__
+        for name in cls.__dict__.get("__slots__", ())
+    ]
+    assert len(slots) == 38
+    assert sorted(map(id, slots)) == sorted(id(setter.__self__) for setter in setters)
+    for setter in setters:
+        assert isinstance(setter.__self__, types.MemberDescriptorType)
+        with pytest.raises(TypeError, match="doesn't apply to a 'object' object"):
+            setter(object(), None)
+    measure = Measure(PI)
+    with pytest.raises(TypeError):
+        exact_module._set_numerator(measure, 1)
+    assert measure.value is PI and not hasattr(measure, "numerator")
 
 
 def _import_modules_of_the_benchmark():
