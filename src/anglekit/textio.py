@@ -76,15 +76,19 @@ _MAX_NESTING = 100
 
 _DECIMAL_RE = re.compile(r"\d+(?:\.(\d+))?(?:[eE][+-]?\d+)?")
 # digits[.digits] that nothing after it extends; exact when it has at
-# most 15 digits, so it skips the general scan.
-_PLAIN_DECIMAL_RE = re.compile(r"(\d{1,15})(?:\.(\d{1,14}))?(?![\d.eEpπ/])")
+# most 15 digits, so it skips the general scan.  π has its own lookahead:
+# in the class it would make compiling the class take twice as long.
+_PLAIN_DECIMAL_RE = re.compile(r"(\d{1,15})(?:\.(\d{1,14}))?(?![\d.eEp/])(?!π)")
 _DIGITS_RE = re.compile(r"\d+")
 
-_DMS_RE = re.compile(
-    r"\s*(?P<sign>[+-])?(?P<deg>\d+)(?:°|d)"
-    r"(?:(?P<min>\d+)(?:′|m)"
-    r"(?:(?P<sec>\d+(?:\.\d+)?)(?:″|s))?"
-    r")?\s*\Z"
+# One match reads a whole well-formed literal: sexagesimal, with the
+# groups _dms_value reads, or a sign, n[.f][π[/d]], n/d[π], n/π or
+# n/([d]π), and a unit.  No unit word follows "pi": pi glued to a letter
+# is a word, not π.
+_LITERAL_RE = re.compile(
+    r"\s*(?:(?P<sign>[+-])?(?P<deg>\d+)[°d](?:(?P<min>\d+)[′m](?:(?P<sec>\d+(?:\.\d+)?)[″s])?)?"
+    r"|([+-]?)(\d+)(?:(?:\.(\d+))?(?:(π|pi)(?:/(\d+))?)?|/(?:(\d+)(π|pi)?|(π|pi|\((\d*)(?:π|pi)\))))"
+    r"\s*((?<!pi)[A-Za-z]+|[°′″]))\s*\Z"
 )
 
 _UNIT_SYMBOLS = tuple(token for token in _ALIASES if not token.isalpha())  # °′″
@@ -106,7 +110,8 @@ class AngleLiteral(Record):
 
 
 def _skip_space(text: str, i: int) -> int:
-    while i < len(text) and text[i].isspace():
+    n = len(text)
+    while i < n and text[i].isspace():
         i += 1
     return i
 
@@ -283,10 +288,37 @@ def parse_number(text: str) -> ExactScalar:
 
 
 def parse_angle(text: str) -> AngleLiteral:
-    """Parse an angle literal: a number with a unit, or a sexagesimal form."""
-    m = _DMS_RE.match(text)
+    """Parse an angle literal: a number with a unit, or a sexagesimal form.
+
+    One match of _LITERAL_RE reads a well-formed literal; the general
+    scanner reads the rest and words every error.
+    """
+    m = _LITERAL_RE.match(text)
     if m is not None:
-        return AngleLiteral(text, _dms_value(m), "dms")
+        _, deg, _, _, sign, digits, frac, pi, pi_den, den, den_pi, inverse, paren_den, unit = m.groups("")
+        if deg:
+            return AngleLiteral(text, _dms_value(m), "dms")
+        places = 0
+        if den:  # n/d or n/dπ
+            exponent = 1 if den_pi else 0
+        elif inverse:  # n/π or n/([d]π)
+            den, exponent = paren_den, -1
+        else:  # n[.f] or n[.f]π[/d]
+            digits, places, den, exponent = digits + frac, len(frac), pi_den, 1 if pi else 0
+        den = den or "1"
+        reference = _ALIASES.get(unit)
+        # Past these digit counts the scanner words the error or degrades
+        # to a float; a zero denominator or the 64-bit bound goes there too.
+        if reference is not None and len(digits) <= _EXACT_DIGIT_LIMIT and len(den) <= 18:
+            denominator = int(den) * 10**places
+            if denominator:
+                try:
+                    value = ExactScalar(-int(digits) if sign == "-" else int(digits), denominator, exponent)
+                except ExactOverflowError:
+                    pass
+                else:
+                    form = "symbolic_pi" if exponent else "decimal"
+                    return AngleLiteral(text, AngleValue(value, reference), form)
     i = _skip_space(text, 0)
     if i == len(text):
         raise ParseError("empty input", i)
@@ -616,8 +648,8 @@ _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 def _lex(text: str, offset: int) -> list[tuple]:
     tokens: list[tuple] = []
-    i = 0
-    while i < len(text):
+    i, n = 0, len(text)
+    while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
@@ -626,7 +658,7 @@ def _lex(text: str, offset: int) -> list[tuple]:
         if ch in "+-":
             nxt = i + 1
             sign_opens_number = (
-                nxt < len(text)
+                nxt < n
                 and (
                     text[nxt].isdigit()
                     or (text[nxt] in "pπ" and _match_pi(text, nxt) is not None)
@@ -661,7 +693,7 @@ def _lex(text: str, offset: int) -> list[tuple]:
             raise
         tokens.append(("NUMBER", text[i:end], position, value))
         i = end
-    tokens.append(("END", "", offset + len(text), None))
+    tokens.append(("END", "", offset + n, None))
     return tokens
 
 

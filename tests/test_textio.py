@@ -28,6 +28,7 @@ from anglekit.errors import (
     UnknownUnitError,
     UnsupportedFormError,
 )
+from anglekit import textio
 from anglekit.exact import PI, ExactScalar
 from anglekit.textio import (
     BinaryOperation,
@@ -775,7 +776,10 @@ def test_scanner_edges(text, outcome):
 
 @pytest.mark.parametrize(
     "text",
-    ["3π/4 rad", "-π/2 rad", "2.5π/3 turn", "180/π °", "1/(2π) turn", "7/2 °", "-12.5 °", "1.5e2 gon", "12°34′56″"],
+    [
+        "3π/4 rad", "-π/2 rad", "2.5π/3 turn", "180/π °", "1/(2π) turn", "7/2 °", "-12.5 °",
+        "1.5e2 gon", "12°34′56″", "π/4 rad", "1/3π rad", "-180/π gon", "12d34m56.5s", "0.283turn",
+    ],
 )
 def test_a_literal_builds_one_scalar(monkeypatch, text):
     built = []
@@ -788,3 +792,110 @@ def test_a_literal_builds_one_scalar(monkeypatch, text):
     monkeypatch.setattr(ExactScalar, "__init__", counting)
     parse_angle(text)
     assert len(built) == 1
+
+
+# ----------------------------------------------------------------------
+# the one-match literal reader against the general scanner
+
+_NEVER = re.compile(r"(?!)")  # with this as _LITERAL_RE, parse_angle is the scanner alone
+_SPACES = ("", " ", "\u2003", "\x1c", "\t")
+
+
+def _digit_run(rng):
+    """Digits of a length around the reader's limits (15 in a coefficient, 18 in a denominator)."""
+    length = rng.choice((1, 1, 2, 3, 6, 14, 15, 16, 18, 19, 20))
+    return "".join(rng.choice("0123456789") for _ in range(length))
+
+
+def _shaped_literal(rng):
+    """A literal in one of the README's non-sexagesimal spellings, some past the reader's limits."""
+    pi = rng.choice(("π", "pi"))
+    n, d = _digit_run(rng), _digit_run(rng)
+    decimal = n + "." + _digit_run(rng)
+    body = rng.choice((
+        n, decimal, n + pi, decimal + pi, n + pi + "/" + d, decimal + pi + "/" + d, pi, pi + "/" + d,
+        n + "/" + d, n + "/" + d + pi, n + "/" + pi, n + "/(" + d + pi + ")", n + "/(" + pi + ")",
+    ))
+    unit, space = rng.choice(sorted(_ALIASES)), rng.choice(_SPACES)
+    if unit == "°" and body.isdigit():
+        space = space or " "  # an integer glued to ° is sexagesimal
+    return rng.choice(_SPACES) + rng.choice(("", "", "+", "-")) + body + space + unit + rng.choice(_SPACES)
+
+
+_READER_TRAPS = (
+    "12 °", "12.5°", "12deg", "12 d", "2pirad", "2pi_x", "2pi rad", "2 pi rad", "2πrad", "pirad",
+    "1.5/2 rad", "π/2π rad", "2π/3π rad", "1/2pirad", "1/pirad", "2π/π rad", "π/(2π) rad",
+    "5/0 rad", "5/00 rad", "π/0 rad", "1/(0π) rad", "1/(π) rad", "1/(2) rad", "1/(2π rad", "1/ rad",
+    "1 radians", "1 rad_x", "1 radé", "1 rad x", "1 °°", ".5 rad", "5. rad", "- 5 rad", "rad", "-rad",
+    "1" * 15 + " rad", "1" * 16 + " rad", "1" * 5000 + " rad", "1" * 5000 + "/3 rad",
+    "3/" + "7" * 5000 + " rad", "1/(" + "7" * 5000 + "π) rad", "π/" + "9" * 18 + " rad",
+    "π/" + "9" * 19 + " rad", "2π/" + "9" * 19 + " rad", "9" * 15 + "/" + "1" * 18 + "π rad",
+    "9" * 15 + "π/" + "1" * 18 + " rad", "0.00000000000001π/999999999999999999 rad",
+    "١٢/٣ rad", "١٢.٥ rad", "٣π rad", "1²/2 rad", "1/²2 rad", "-0 rad", "-0/5 rad", "0π/7 rad",
+)
+
+
+def test_one_match_reader_agrees_with_the_scanner(monkeypatch):
+    rng = random.Random(18)
+    texts = [_shaped_literal(rng) for _ in range(6_000)] + list(_READER_TRAPS)
+    scans = []
+    scan = textio._scan_number
+
+    def counted_scan(*args, **kwargs):
+        scans.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(textio, "_scan_number", counted_scan)
+    fast = [_golden_outcome(parse_angle, text) for text in texts]
+    # the comparison means something only if many literals took the one match
+    assert len(texts) - len(scans) > len(texts) // 3
+    monkeypatch.setattr(textio, "_LITERAL_RE", _NEVER)
+    scanned = [_golden_outcome(parse_angle, text) for text in texts]
+    for text, got, expected in zip(texts, fast, scanned):
+        assert got == expected, text
+
+
+def _read_by_one_match(monkeypatch, text):
+    """parse_angle(text), failing if the general scanner is reached."""
+
+    def scanner(*args, **kwargs):
+        raise AssertionError(f"{text!r} reached the scanner")
+
+    monkeypatch.setattr(textio, "_scan_number", scanner)
+    return parse_angle(text)
+
+
+@pytest.mark.parametrize("spelling", sorted(_ALIASES))
+def test_every_unit_spelling_is_read_by_one_match(monkeypatch, spelling):
+    reference = _ALIASES[spelling]
+    for number, value in (("2.5", ExactScalar(5, 2)), ("3/4", ExactScalar(3, 4)), ("3π", ExactScalar(3, 1, 1))):
+        for space in ("", " "):
+            literal = _read_by_one_match(monkeypatch, number + space + spelling)
+            assert literal.parsed == AngleValue(value, reference)
+
+
+def test_sexagesimal_spellings_against_fractions():
+    rng = random.Random(18)
+    for _ in range(2_000):
+        sign = rng.choice(("", "+", "-"))
+        marks = rng.choice((("°", "′", "″"), ("d", "m", "s")))
+        degrees, minutes = rng.randint(0, 10**rng.randint(1, 6)), rng.randint(0, 99)
+        scaled, places = rng.randint(0, 10**6), rng.randint(0, 5)
+        seconds = Fraction(scaled, 10**places)
+        seconds_text = f"{scaled // 10**places}.{scaled % 10**places:0{places}d}" if places else str(scaled)
+        parts = rng.randint(1, 3)
+        text = sign + str(degrees) + marks[0]
+        expected = Fraction(degrees)
+        if parts > 1:
+            text += str(minutes) + marks[1]
+            expected += Fraction(minutes, 60)
+        if parts > 2:
+            text += seconds_text + marks[2]
+            expected += seconds / 3600
+        if sign == "-":
+            expected = -expected
+        literal = parse_angle(rng.choice(("", " ")) + text + rng.choice(("", " ")))
+        value = literal.parsed.value
+        assert literal.form == "dms" and literal.parsed.reference is DEGREE
+        assert value.is_exact and value.pi_exponent == 0
+        assert Fraction(value.numerator, value.denominator) == expected, text
