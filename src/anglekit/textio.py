@@ -298,6 +298,10 @@ def parse_angle(text: str) -> AngleLiteral:
         _, deg, _, _, sign, digits, frac, pi, pi_den, den, den_pi, inverse, paren_den, unit = m.groups("")
         if deg:
             return AngleLiteral(text, _dms_value(m), "dms")
+        if not (pi or den or inverse) and len(digits) + len(frac) > _EXACT_DIGIT_LIMIT and unit in _ALIASES:
+            ratio = _decimal_ratio(f"{digits}.{frac}", m.start(5))  # a long decimal: exact or a float
+            value = ExactScalar.inexact(ratio) if isinstance(ratio, float) else ExactScalar(*ratio)
+            return AngleLiteral(text, AngleValue(-value if sign == "-" else value, _ALIASES[unit]), "decimal")
         places = 0
         if den:  # n/d or n/dπ
             exponent = 1 if den_pi else 0
@@ -475,7 +479,21 @@ def _format_dms(angle: AngleValue, digits: int, ascii_only: bool) -> str:
 # expression language
 
 
-class ExpressionNode(Record):
+class _Pending:
+    __slots__ = ("_digits",)  # a plain decimal's digits, while its literal's value slot is unset
+
+
+def _value_from_digits(node, name):
+    """First read of an unset `.value`: ExactScalar(int(whole + frac), 10**len(frac)), stored."""
+    if name != "value":
+        raise AttributeError(f"{type(node).__name__!r} object has no attribute {name!r}")
+    whole, _, frac = _get_digits(node).partition(".")
+    value = ExactScalar(int(whole + frac), 10 ** len(frac))
+    type(node).value.__set__(node, value)
+    return value
+
+
+class ExpressionNode(Record, _Pending):
     """A node of an expression tree.
 
     Sums and products parse left-deep, so a long line is a deep tree.
@@ -582,6 +600,8 @@ _set_reference, _set_unit_text = QuantityLiteral.reference.__set__, QuantityLite
 _set_identifier, _set_function = Identifier.name.__set__, FunctionApplication.name.__set__
 _set_argument, _set_operator = FunctionApplication.argument.__set__, BinaryOperation.operator.__set__
 _set_left, _set_right = BinaryOperation.left.__set__, BinaryOperation.right.__set__
+_get_digits, _keep_digits, _new = _Pending._digits.__get__, _Pending._digits.__set__, object.__new__
+NumberLiteral.__getattr__ = QuantityLiteral.__getattr__ = _value_from_digits  # only here: it slows each read
 
 
 class _Hashed:
@@ -640,10 +660,16 @@ def walk(node: ExpressionNode):
 
 # A token is a tuple (kind, text, position, value).  kind is the
 # operator itself for + * / = ( ), else NUMBER, WORD, UNIT or END;
-# value is the ExactScalar of a NUMBER and None otherwise.
+# value is the ExactScalar of a NUMBER the character loop read, else None.
 
 
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# One findall reads spaces, plain decimals of at most 15 digits, words other than pi, * / = ( ),
+# unit symbols (a class of their own compiles faster) and "+" before a space.
+_LINE_RE = re.compile(r"\s+|(?=[0-9.]{1,16}(?![0-9.]))[0-9]{1,15}(?:\.[0-9]{1,14})?(?![0-9.eEp])(?!π)"
+                      r"|(?!pi(?![A-Za-z_]))[A-Za-z_][A-Za-z0-9_]*|[*/=()]|[°′″]|\+(?=\s)")
+_KINDS = dict.fromkeys(_UNIT_SYMBOLS, "UNIT") | {  # a part's kind by its first character; None for spaces
+    c: "NUMBER" if c.isdigit() else "WORD" if c.isidentifier() else c for c in map(chr, range(33, 127))}
 
 
 def _lex(text: str, offset: int) -> list[tuple]:
@@ -751,8 +777,17 @@ class _ExpressionParser:
             unit_kind, unit_text, _, _ = tokens[self.index]
             if unit_kind == "UNIT" or (unit_kind == "WORD" and unit_text in _ALIASES):
                 self.index += 1
-                return QuantityLiteral(position, value, _ALIASES[unit_text], unit_text)
-            return NumberLiteral(position, value)
+                node, store = _new(QuantityLiteral), _set_quantity
+                _set_reference(node, _ALIASES[unit_text])
+                _set_unit_text(node, unit_text)
+            else:
+                node, store = _new(NumberLiteral), _set_number
+            _set_position(node, position)
+            if value is None:  # a plain decimal: .value is built on its first read
+                _keep_digits(node, text)
+            else:
+                store(node, value)
+            return node
         if kind == "WORD":
             if tokens[self.index][0] != "(":
                 return Identifier(position, text)
@@ -782,7 +817,17 @@ class _ExpressionParser:
 
 def parse_expression(text: str, offset: int = 0) -> ExpressionNode:
     """Parse one expression; positions are absolute (offset + local)."""
-    tokens = _lex(text, offset)
+    parts = _LINE_RE.findall(text)
+    if len("".join(parts)) == len(text):  # no gap between matches; else the character loop reads it
+        tokens, position, kind_of = [], offset, _KINDS.get
+        for part in parts:
+            kind = kind_of(part[0])
+            if kind is not None:
+                tokens.append((kind, part, position, None))
+            position += len(part)
+        tokens.append(("END", "", position, None))
+    else:
+        tokens = _lex(text, offset)
     if tokens[0][0] == "END":
         raise ParseError("empty expression", offset)
     return _ExpressionParser(tokens).parse()

@@ -7,6 +7,7 @@ import importlib
 import os
 import pathlib
 import pickle
+import random
 import subprocess
 import sys
 import types
@@ -14,7 +15,7 @@ import types
 import pytest
 
 from anglekit.angles import DEGREE, RADIAN, AngleValue, Magnitude, Measure, ReferenceAngle
-from anglekit.errors import DomainError, RadiusError, RangeError
+from anglekit.errors import DomainError, ParseError, RadiusError, RangeError
 from anglekit import exact as exact_module
 from anglekit.exact import ONE, PI, ExactScalar, Record
 from anglekit.geometry import ArcSpec, PlanarPoint
@@ -27,6 +28,7 @@ from anglekit.textio import (
     Identifier,
     NumberLiteral,
     QuantityLiteral,
+    _build_tree,
     parse_angle,
     parse_expression,
     walk,
@@ -406,3 +408,79 @@ def test_a_child_field_holding_a_non_node_is_a_leaf(node):
         assert copied == node
         assert hash(copied) == hash(node)
         assert repr(copied) == repr(node)
+
+
+# A plain decimal read by the lexer's one findall keeps its digits, and
+# its literal builds the scalar on the first read of .value.
+
+
+def _plain_texts(count=400, seed=19):
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        terms = [
+            rng.choice(("0", "7", "12.50", "000123", "999999999999999", "0.00000000000001", "x"))
+            + rng.choice(("", "", " deg", "°", " rad", "′"))
+            for _ in range(rng.randint(1, 6))
+        ]
+        text = terms[0]
+        for term in terms[1:]:
+            text += rng.choice((" + ", " * ", " / ", " = ")) + rng.choice(("", "sin(", "(")) + term
+        texts.append(text + ")" * (text.count("(") - text.count(")")))
+    return texts
+
+
+def _read_every_value(tree):
+    for node in walk(tree):
+        if isinstance(node, (NumberLiteral, QuantityLiteral)):
+            node.value
+    return tree
+
+
+def test_an_unbuilt_value_is_invisible():
+    for text in _plain_texts():
+        try:
+            read = _read_every_value(parse_expression(text))
+        except ParseError:  # a chained "=", which the generator can make
+            continue
+        assert parse_expression(text) == read and read == parse_expression(text), text
+        assert hash(parse_expression(text)) == hash(read)
+        assert repr(parse_expression(text)) == repr(read)
+        assert pickle.dumps(parse_expression(text)) == pickle.dumps(read)
+        assert pickle.loads(pickle.dumps(parse_expression(text))) == read
+        assert copy.deepcopy(parse_expression(text)) == read
+        assert _build_tree(*parse_expression(text).__reduce__()[1]) == read
+
+
+def test_a_value_is_built_once_and_kept():
+    for text, expected in (("12.50", ExactScalar(25, 2)), ("000123 deg", ExactScalar(123))):
+        literal = parse_expression(text)
+        value = literal.value
+        assert value == expected and literal.value is value
+        assert "_digits" not in literal._fields
+        with pytest.raises(AttributeError, match="object has no attribute 'unit'"):
+            literal.unit
+
+
+def test_the_literal_constructors_store_what_they_are_given():
+    assert NumberLiteral(5, "x").value == "x"
+    assert QuantityLiteral(5, None, DEGREE, "deg").value is None
+    assert repr(NumberLiteral(5, "x")) == "NumberLiteral(position=5, value='x')"
+
+
+def test_lint_builds_no_scalar_for_plain_numbers(monkeypatch):
+    text = "angle a\na = 1 + 2.50 * 000123\ny = sin(30 deg) + 0.5\nz = 45° / 7 + a\n"
+    built = []
+    init = ExactScalar.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ExactScalar, "__init__", counting)
+    findings = lint_text(text)
+    assert [(f.rule, f.line) for f in findings] == [
+        ("MISSING-REFERENCE-SYMBOL", 2),
+        ("RAD-IN-TRIG-ARG", 3),
+    ]
+    assert built == []

@@ -28,7 +28,7 @@ from anglekit.errors import (
     UnknownUnitError,
     UnsupportedFormError,
 )
-from anglekit import textio
+from anglekit import lint, textio
 from anglekit.exact import PI, ExactScalar
 from anglekit.textio import (
     BinaryOperation,
@@ -899,3 +899,118 @@ def test_sexagesimal_spellings_against_fractions():
         assert literal.form == "dms" and literal.parsed.reference is DEGREE
         assert value.is_exact and value.pi_exponent == 0
         assert Fraction(value.numerator, value.denominator) == expected, text
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1.6449340668482264 rad", "-12.345678901234567 °", " +1.0000000000000000 gon ", "0.1234567890123456789turn",
+     "-0." + "0" * 400 + "1234567890123456 rad", "1234567890123456 arcsec", " -" + "9" * 400 + ".5 rad"],
+)
+def test_a_long_decimal_is_read_by_one_match(monkeypatch, text):
+    scan = textio._scan_number
+
+    def scanner(*args, **kwargs):
+        raise AssertionError(f"{text!r} reached the scanner")
+
+    monkeypatch.setattr(textio, "_scan_number", scanner)
+    fast = _golden_outcome(parse_angle, text)  # the value, or the error "outside float range"
+    monkeypatch.setattr(textio, "_scan_number", scan)
+    monkeypatch.setattr(textio, "_LITERAL_RE", _NEVER)
+    assert fast == _golden_outcome(parse_angle, text)
+
+
+# ----------------------------------------------------------------------
+# the one-findall lexer against the character loop
+
+# Pieces around what the findall must leave to the loop: a sign (also
+# before a digit that str.isdigit knows but \d does not), separators that
+# str.isspace knows, pi as a word and as π, and digit runs at, just past
+# and far past the 15 digits of a plain decimal.
+_LEXER_TRAPS = (
+    "+²", "+５", "-²", "٣", "５", "²", "\x1c", "\u2028", "\u3000", "\xa0", "pi_", "pi2", "pi", "π", "piα", "pix",
+    "+ ", "+", "-", "1+2", "*-", "/+", "=-", "(+", "(-", "++", "+\t", "+\u2028", "+π", "+pi", "+.5", ".",
+    "e", "E", "1e5", "2E-3", "p", "α", "$", "1" * 15, "1" * 16, "1" * 30, "1" * 14 + ".5", "1" * 15 + ".5",
+    "0" * 16, "12.", ".5", "1/2", "3/π", "2π", "2pi", "°°", "1.2.3",
+)
+_LEXER_COMMON = (
+    " ", " ", "  ", "\t", "x", "_a1", "foo", "sin(", "cos(", "arcsin(", "exp(", "(", ")", ")", " * ", " / ",
+    " = ", " + ", "*", "/", "=", "°", "′", "″", " deg", "deg", " rad", "gon", " turn", "arcmin",
+)
+
+
+def _lexer_number(rng):
+    whole = "".join(rng.choice("0123456789") for _ in range(rng.choice((1, 1, 2, 3, 7, 14, 15, 16))))
+    if rng.random() < 0.5:
+        return whole
+    return whole + "." + "".join(rng.choice("0123456789") for _ in range(rng.choice((1, 2, 3, 13, 14, 15))))
+
+
+def _lexer_text(rng):
+    parts = []
+    for _ in range(rng.randint(1, 7)):
+        roll = rng.random()
+        if roll < 0.45:
+            parts.append(rng.choice(_LEXER_COMMON))
+        elif roll < 0.85:
+            parts.append(_lexer_number(rng))
+        else:
+            parts.append(rng.choice(_LEXER_TRAPS))
+    return "".join(parts)
+
+
+def _expression_outcomes(texts):
+    return [
+        _golden_outcome(lambda t: parse_expression(t, index % 4), text) for index, text in enumerate(texts)
+    ]
+
+
+def test_one_findall_lexer_agrees_with_the_character_loop(monkeypatch):
+    rng = random.Random(19)
+    texts = _golden_corpus() + [_lexer_text(rng) for _ in range(100_000)]
+    looped = []
+    lex = textio._lex
+
+    def counted_lex(*args):
+        looped.append(args)
+        return lex(*args)
+
+    monkeypatch.setattr(textio, "_lex", counted_lex)
+    fast = _expression_outcomes(texts)
+    # the comparison means something only if many texts took the findall
+    assert len(texts) - len(looped) > len(texts) // 4
+    monkeypatch.setattr(textio, "_LINE_RE", _NEVER)
+    looped.clear()
+    assert _expression_outcomes(texts) == fast
+    assert len(looped) == len([text for text in texts if text])  # "" has no gap to leave
+
+
+def _lint_statement(rng, index):
+    """One line of a statement file: mostly sums, products, quantities and calls."""
+    roll = rng.random()
+    numbers = [str(rng.randint(0, 999)), f"{rng.randint(0, 99)}.{rng.randint(0, 99)}", str(rng.randint(0, 10**15 - 1))]
+    terms = [
+        rng.choice((*numbers, rng.choice(numbers) + rng.choice((" deg", "°", " rad", "′")), "a1", "s2"))
+        for _ in range(rng.randint(1, 12))
+    ]
+    body = "".join(term + rng.choice((" + ", " * ", " / ")) for term in terms[:-1]) + terms[-1]
+    if roll < 0.2:
+        return f"{rng.choice(('angle', 'length'))} {rng.choice(('a', 's'))}{index}"
+    if roll < 0.3:
+        return f"y{index} = {rng.choice(('sin', 'cos', 'tan', 'exp'))}({body}) + arccos({terms[0]})"
+    if roll < 0.96:
+        return f"{rng.choice(('angle a', 'a', 'y'))}{index} = {body}"
+    # a sign, π, an exponent or a stray character: the character loop reads these
+    return f"y{index} = {terms[0]} + {rng.choice(('-3', 'π/4 rad', '1e3', '? 2', '+5', '2pi'))}"
+
+
+def test_most_statement_lines_take_the_one_findall(monkeypatch):
+    rng = random.Random(19)
+    files = ["\n".join(_lint_statement(rng, i) for i in range(rng.randint(5, 60))) for _ in range(50)]
+    calls, looped = [], []
+    parse, lex = lint.parse_expression, textio._lex
+    monkeypatch.setattr(lint, "parse_expression", lambda *args: calls.append(args) or parse(*args))
+    monkeypatch.setattr(textio, "_lex", lambda *args: looped.append(args) or lex(*args))
+    fast = [lint.lint_text(text) for text in files]
+    assert len(calls) > 1_000 and len(looped) < len(calls) // 10
+    monkeypatch.setattr(textio, "_LINE_RE", _NEVER)
+    assert [lint.lint_text(text) for text in files] == fast
