@@ -350,11 +350,15 @@ def _scan_unit(text: str, i: int) -> tuple[ReferenceAngle, int]:
 
 
 def _dms_value(m: re.Match) -> AngleValue:
-    sign = -1 if m.group("sign") == "-" else 1
-    degrees = _digits_to_int(m.group("deg"), m.start("deg"))
-    minutes = _digits_to_int(m.group("min") or "0", m.start("min"))
-    seconds_text = m.group("sec")
-    seconds = _decimal_ratio(seconds_text, m.start("sec")) if seconds_text else (0, 1)
+    sign, degrees, minutes, seconds_text = m.group("sign", "deg", "min", "sec")
+    sign, minutes = -1 if sign == "-" else 1, minutes or "0"
+    whole, _, frac = (seconds_text or "0").partition(".")
+    if len(degrees) <= 18 and len(minutes) <= 18 and len(whole) + len(frac) <= _EXACT_DIGIT_LIMIT:
+        degrees, minutes, seconds = int(degrees), int(minutes), (int(whole + frac), 10 ** len(frac))
+    else:  # long runs: the general readers word the errors and degrade to a float
+        degrees = _digits_to_int(degrees, m.start("deg"))
+        minutes = _digits_to_int(minutes, m.start("min"))
+        seconds = _decimal_ratio(seconds_text, m.start("sec")) if seconds_text else (0, 1)
     if not isinstance(seconds, float):
         sn, sd = seconds
         try:
@@ -664,10 +668,11 @@ def walk(node: ExpressionNode):
 
 
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# One findall reads spaces, plain decimals of at most 15 digits, words other than pi, * / = ( ),
-# unit symbols (a class of their own compiles faster) and "+" before a space.
-_LINE_RE = re.compile(r"\s+|(?=[0-9.]{1,16}(?![0-9.]))[0-9]{1,15}(?:\.[0-9]{1,14})?(?![0-9.eEp])(?!π)"
-                      r"|(?!pi(?![A-Za-z_]))[A-Za-z_][A-Za-z0-9_]*|[*/=()]|[°′″]|\+(?=\s)")
+# One findall reads leading spaces, then tokens, each with the spaces after it: plain decimals
+# of at most 15 digits, words other than pi, * / = ( ), unit symbols (a class of their own
+# compiles faster) and "+" before a space.
+_LINE_RE = re.compile(r"\s+|(?:(?=[0-9.]{1,16}(?![0-9.]))[0-9]{1,15}(?:\.[0-9]{1,14})?(?![0-9.eEp])(?!π)"
+                      r"|(?!pi(?![A-Za-z_]))[A-Za-z_][A-Za-z0-9_]*|[*/=()]|[°′″]|\+(?=\s))\s*")
 _KINDS = dict.fromkeys(_UNIT_SYMBOLS, "UNIT") | {  # a part's kind by its first character; None for spaces
     c: "NUMBER" if c.isdigit() else "WORD" if c.isidentifier() else c for c in map(chr, range(33, 127))}
 
@@ -723,60 +728,25 @@ def _lex(text: str, offset: int) -> list[tuple]:
     return tokens
 
 
-class _ExpressionParser:
-    def __init__(self, tokens: list[tuple]):
-        self.tokens = tokens
-        self.index = 0
-        self.depth = 0
+def _parse_tokens(tokens: list[tuple]) -> ExpressionNode:
+    """The tree of one token list: precedence climbing in one loop.
 
-    def parse(self) -> ExpressionNode:
-        node = self.equality()
-        kind, _, position, _ = self.tokens[self.index]
-        if kind != "END":
-            raise ParseError("unexpected trailing text", position)
-        return node
-
-    def equality(self) -> ExpressionNode:
-        left = self.sum_()
-        kind, _, position, _ = self.tokens[self.index]
-        if kind != "=":
-            return left
-        self.index += 1
-        right = self.sum_()
-        kind, _, after, _ = self.tokens[self.index]
-        if kind == "=":
-            raise ParseError("chained '=' is not allowed", after)
-        return BinaryOperation(position, "=", left, right)
-
-    def sum_(self) -> ExpressionNode:
-        node = self.term()
-        tokens = self.tokens
-        while True:
-            kind, _, position, _ = tokens[self.index]
-            if kind != "+":
-                return node
-            self.index += 1
-            node = BinaryOperation(position, "+", node, self.term())
-
-    def term(self) -> ExpressionNode:
-        node = self.primary()
-        tokens = self.tokens
-        while True:
-            kind, _, position, _ = tokens[self.index]
-            if kind != "*" and kind != "/":
-                return node
-            self.index += 1
-            node = BinaryOperation(position, kind, node, self.primary())
-
-    def primary(self) -> ExpressionNode:
-        """A number (with the unit after it, if any), a name, a call or a group."""
-        tokens = self.tokens
-        kind, text, position, value = tokens[self.index]
-        self.index += 1
+    Each open group is a frame on an explicit list: the call word that
+    opened it, if any, and the enclosing `=` left side, sum and product,
+    each with its operator's position.  An operand folds into the
+    product, "+" closes the product into the sum, "=" closes the sum, and
+    ")" or END closes the frame.
+    """
+    frames: list[tuple] = []
+    left = total = product = op = None
+    i = eq_at = plus_at = op_at = 0
+    while True:
+        kind, text, position, value = tokens[i]  # an operand, or an opener
+        i += 1
         if kind == "NUMBER":
-            unit_kind, unit_text, _, _ = tokens[self.index]
+            unit_kind, unit_text, _, _ = tokens[i]
             if unit_kind == "UNIT" or (unit_kind == "WORD" and unit_text in _ALIASES):
-                self.index += 1
+                i += 1
                 node, store = _new(QuantityLiteral), _set_quantity
                 _set_reference(node, _ALIASES[unit_text])
                 _set_unit_text(node, unit_text)
@@ -787,32 +757,63 @@ class _ExpressionParser:
                 _keep_digits(node, text)
             else:
                 store(node, value)
-            return node
-        if kind == "WORD":
-            if tokens[self.index][0] != "(":
-                return Identifier(position, text)
-            if text not in FUNCTION_NAMES:
-                raise ParseError(f"unknown function '{text}'", position)
-            self.index += 1
-            return FunctionApplication(position, text, self.group(position))
-        if kind == "(":
-            return self.group(position)
-        if kind == "UNIT":
+        elif kind == "WORD" and tokens[i][0] != "(":
+            node = _new(Identifier)
+            _set_position(node, position)
+            _set_identifier(node, text)
+        elif kind == "WORD" or kind == "(":
+            if kind == "WORD":
+                if text not in FUNCTION_NAMES:
+                    raise ParseError(f"unknown function '{text}'", position)
+                i += 1
+            frames.append((kind, text, position, left, eq_at, total, plus_at, product, op, op_at))
+            if len(frames) > _MAX_NESTING:  # reported at the opener: the word of a call
+                raise ParseError("expression nests too deeply", position)
+            left = total = op = None
+            continue
+        elif kind == "UNIT":
             raise ParseError("unit symbol needs a number before it", position)
-        raise ParseError("expected a value", position)
-
-    def group(self, position: int) -> ExpressionNode:
-        """An expression and its ")", after the "("; `position` reports deep nesting."""
-        self.depth += 1
-        if self.depth > _MAX_NESTING:
-            raise ParseError("expression nests too deeply", position)
-        node = self.equality()
-        kind, _, closing, _ = self.tokens[self.index]
-        if kind != ")":
-            raise ParseError("expected ')'", closing)
-        self.index += 1
-        self.depth -= 1
-        return node
+        else:
+            raise ParseError("expected a value", position)
+        while True:  # node is a whole factor: fold it, then read the operator after it
+            if op is not None:
+                folded = _new(BinaryOperation)
+                _set_position(folded, op_at)
+                _set_operator(folded, op)
+                _set_left(folded, product)
+                _set_right(folded, node)
+                node = folded
+            kind, _, position, _ = tokens[i]
+            i += 1
+            if kind == "*" or kind == "/":
+                product, op, op_at = node, kind, position
+                break
+            op = None
+            if total is not None:
+                folded = _new(BinaryOperation)
+                _set_position(folded, plus_at)
+                _set_operator(folded, "+")
+                _set_left(folded, total)
+                _set_right(folded, node)
+                node = folded
+            if kind == "+":
+                total, plus_at = node, position
+                break
+            total = None
+            if kind == "=":
+                if left is not None:
+                    raise ParseError("chained '=' is not allowed", position)
+                left, eq_at = node, position
+                break
+            if left is not None:
+                node = BinaryOperation(eq_at, "=", left, node)
+            if kind == "END" and not frames:
+                return node
+            if kind != ")" or not frames:
+                raise ParseError("expected ')'" if frames else "unexpected trailing text", position)
+            opener, name, at, left, eq_at, total, plus_at, product, op, op_at = frames.pop()
+            if opener == "WORD":
+                node = FunctionApplication(at, name, node)
 
 
 def parse_expression(text: str, offset: int = 0) -> ExpressionNode:
@@ -823,11 +824,11 @@ def parse_expression(text: str, offset: int = 0) -> ExpressionNode:
         for part in parts:
             kind = kind_of(part[0])
             if kind is not None:
-                tokens.append((kind, part, position, None))
+                tokens.append((kind, part.rstrip(), position, None))
             position += len(part)
         tokens.append(("END", "", position, None))
     else:
         tokens = _lex(text, offset)
     if tokens[0][0] == "END":
         raise ParseError("empty expression", offset)
-    return _ExpressionParser(tokens).parse()
+    return _parse_tokens(tokens)

@@ -31,12 +31,21 @@ from anglekit.errors import (
 from anglekit import lint, textio
 from anglekit.exact import PI, ExactScalar
 from anglekit.textio import (
+    _MAX_NESTING,
+    FUNCTION_NAMES,
     BinaryOperation,
     ExpressionNode,
     FunctionApplication,
     Identifier,
     NumberLiteral,
     QuantityLiteral,
+    _keep_digits,
+    _new,
+    _set_number,
+    _set_position,
+    _set_quantity,
+    _set_reference,
+    _set_unit_text,
     format_angle,
     parse_angle,
     parse_expression,
@@ -515,6 +524,28 @@ class TestExpressionParsing:
             parse_expression("(" * 5000 + "1" + ")" * 5000)
         with pytest.raises(ParseError):
             parse_expression("sin(" * 5000 + "1" + ")" * 5000)
+
+    @pytest.mark.parametrize("openers", [("(",), ("sin(",), ("(", "exp(", "arccos(")], ids=["(", "sin(", "mix"])
+    def test_the_nesting_limit(self, openers):
+        assert _MAX_NESTING == 100
+        chain = [openers[i % len(openers)] for i in range(101)]
+        for depth in (100, 101):
+            group = "".join(chain[:depth]) + "x" + ")" * depth
+            for left, right in (("", " = 1"), ("y = ", ""), ("", "")):
+                text = left + group + right
+                if depth == 100:
+                    node = parse_expression(text)
+                    calls = sum(isinstance(n, FunctionApplication) for n in walk(node))
+                    assert calls == sum(opener != "(" for opener in chain[:depth])
+                    continue
+                with pytest.raises(ParseError) as excinfo:
+                    parse_expression(text)
+                assert excinfo.value.message == "expression nests too deeply"
+                assert excinfo.value.position == len(left) + len("".join(chain[:100]))  # the 101st opener
+        for opener in openers:
+            line = "x = " + opener * 50_000 + "1" + ")" * 50_000
+            finding = lint.LintFinding(None, 1, 5 + 100 * len(opener), "expression nests too deeply", line)
+            assert lint.lint_text(line) == [finding]
 
     def test_juxtaposition_is_rejected(self):
         with pytest.raises(ParseError):
@@ -1014,3 +1045,214 @@ def test_most_statement_lines_take_the_one_findall(monkeypatch):
     assert len(calls) > 1_000 and len(looped) < len(calls) // 10
     monkeypatch.setattr(textio, "_LINE_RE", _NEVER)
     assert [lint.lint_text(text) for text in files] == fast
+
+
+# ----------------------------------------------------------------------
+# the one-loop parser against recursive descent
+
+# The recursive-descent parser that _parse_tokens replaced, kept as the
+# reference: equality := sum ["=" sum], sum := term {"+" term},
+# term := primary {("*" | "/") primary}.
+class _ExpressionParser:
+    def __init__(self, tokens: list[tuple]):
+        self.tokens = tokens
+        self.index = 0
+        self.depth = 0
+
+    def parse(self) -> ExpressionNode:
+        node = self.equality()
+        kind, _, position, _ = self.tokens[self.index]
+        if kind != "END":
+            raise ParseError("unexpected trailing text", position)
+        return node
+
+    def equality(self) -> ExpressionNode:
+        left = self.sum_()
+        kind, _, position, _ = self.tokens[self.index]
+        if kind != "=":
+            return left
+        self.index += 1
+        right = self.sum_()
+        kind, _, after, _ = self.tokens[self.index]
+        if kind == "=":
+            raise ParseError("chained '=' is not allowed", after)
+        return BinaryOperation(position, "=", left, right)
+
+    def sum_(self) -> ExpressionNode:
+        node = self.term()
+        tokens = self.tokens
+        while True:
+            kind, _, position, _ = tokens[self.index]
+            if kind != "+":
+                return node
+            self.index += 1
+            node = BinaryOperation(position, "+", node, self.term())
+
+    def term(self) -> ExpressionNode:
+        node = self.primary()
+        tokens = self.tokens
+        while True:
+            kind, _, position, _ = tokens[self.index]
+            if kind != "*" and kind != "/":
+                return node
+            self.index += 1
+            node = BinaryOperation(position, kind, node, self.primary())
+
+    def primary(self) -> ExpressionNode:
+        """A number (with the unit after it, if any), a name, a call or a group."""
+        tokens = self.tokens
+        kind, text, position, value = tokens[self.index]
+        self.index += 1
+        if kind == "NUMBER":
+            unit_kind, unit_text, _, _ = tokens[self.index]
+            if unit_kind == "UNIT" or (unit_kind == "WORD" and unit_text in _ALIASES):
+                self.index += 1
+                node, store = _new(QuantityLiteral), _set_quantity
+                _set_reference(node, _ALIASES[unit_text])
+                _set_unit_text(node, unit_text)
+            else:
+                node, store = _new(NumberLiteral), _set_number
+            _set_position(node, position)
+            if value is None:  # a plain decimal: .value is built on its first read
+                _keep_digits(node, text)
+            else:
+                store(node, value)
+            return node
+        if kind == "WORD":
+            if tokens[self.index][0] != "(":
+                return Identifier(position, text)
+            if text not in FUNCTION_NAMES:
+                raise ParseError(f"unknown function '{text}'", position)
+            self.index += 1
+            return FunctionApplication(position, text, self.group(position))
+        if kind == "(":
+            return self.group(position)
+        if kind == "UNIT":
+            raise ParseError("unit symbol needs a number before it", position)
+        raise ParseError("expected a value", position)
+
+    def group(self, position: int) -> ExpressionNode:
+        """An expression and its ")", after the "("; `position` reports deep nesting."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError("expression nests too deeply", position)
+        node = self.equality()
+        kind, _, closing, _ = self.tokens[self.index]
+        if kind != ")":
+            raise ParseError("expected ')'", closing)
+        self.index += 1
+        self.depth -= 1
+        return node
+
+
+
+_CALL_WORDS = ("sin", "cos", "tan", "arcsin", "arccos", "exp")
+_UNIT_WORDS = ("deg", "rad", "gon", "turn", "arcmin", "degree")
+_PLAIN_WORDS = ("x", "a1", "s2", "foo", "e", "pi_")
+_NUMBER_TOKENS = (("12", None), ("0.5", None), ("7", None), ("π", PI), ("1e3", ExactScalar(1000)), ("2.5", ExactScalar(5, 2)))
+_ANY_TOKEN = (
+    [("NUMBER", "3", ExactScalar(3))]
+    + [("WORD", word, None) for word in _CALL_WORDS + _UNIT_WORDS + _PLAIN_WORDS]
+    + [("UNIT", symbol, None) for symbol in "°′″"]
+    + [(c, c, None) for c in "+*/=()"]
+    + [("END", "", None)]
+)
+
+
+def _token_list(rng):
+    """Tokens as a lexer hands them over: mostly well formed, some stray, nesting up to 102."""
+    random = rng.random
+
+    def pick(items):
+        return items[int(random() * len(items))]
+
+    diving = random() < 0.03  # opens groups up to the limit before its first operand
+    limit = pick((99, 100, 101, 102)) if diving else pick(range(5))
+    operands = pick(range(1, 13))
+    raw, depth, expect_operand = [], 0, True
+    while operands:
+        if not diving and random() < 0.03:
+            raw.append(pick(_ANY_TOKEN))
+        elif expect_operand:
+            if depth < limit and (diving or random() < 0.3):
+                if random() < 0.5:
+                    raw.append(("WORD", pick(_CALL_WORDS), None))
+                raw.append(("(", "(", None))
+                depth += 1
+                continue
+            if random() < 0.6:
+                text, value = pick(_NUMBER_TOKENS)
+                raw.append(("NUMBER", text, value))
+                if random() < 0.4:
+                    raw.append(("UNIT", pick("°′″"), None) if random() < 0.5 else ("WORD", pick(_UNIT_WORDS), None))
+            else:
+                raw.append(("WORD", pick(_PLAIN_WORDS + _UNIT_WORDS), None))
+            operands -= 1
+            diving = expect_operand = False
+        elif depth and random() < 0.3:
+            raw.append((")", ")", None))
+            depth -= 1
+        else:
+            kind = pick("++++***//==")
+            raw.append((kind, kind, None))
+            expect_operand = True
+    raw += [(")", ")", None)] * (depth if random() < 0.9 else pick(range(depth + 1)))
+    raw.append(("END", "", None))
+    tokens, position = [], pick(range(4))
+    for kind, text, value in raw:
+        tokens.append((kind, text, position, value))
+        position += len(text) + 1
+    return tokens
+
+
+def _parsed(parse, tokens):
+    try:
+        return parse(tokens)
+    except ParseError as exc:
+        return (type(exc), exc.message, exc.position)
+
+
+def test_one_loop_parser_agrees_with_recursive_descent(monkeypatch):
+    lexed = []
+    parse = textio._parse_tokens
+    monkeypatch.setattr(textio, "_parse_tokens", lambda tokens: lexed.append(tokens) or parse(tokens))
+    for text in _golden_corpus():
+        _golden_outcome(parse_expression, text)
+    rng = random.Random(20)
+    token_lists = lexed + [_token_list(rng) for _ in range(100_000)]
+    errors, trees = set(), 0
+    for tokens in token_lists:
+        expected = _parsed(lambda tokens: _ExpressionParser(tokens).parse(), tokens)
+        assert _parsed(parse, tokens) == expected, tokens
+        if isinstance(expected, tuple):
+            errors.add(re.sub(r"'\w+'", "'name'", expected[1]))
+        else:
+            trees += 1
+    # every error the parser raises was met, and many lists parsed
+    assert trees > len(token_lists) // 3
+    assert errors == {
+        "expected a value", "expected ')'", "unexpected trailing text", "chained '=' is not allowed",
+        "unknown function 'name'", "unit symbol needs a number before it", "expression nests too deeply",
+    }
+
+
+def test_re_and_str_agree_on_whitespace():
+    # A findall part carries the spaces after its token, and str.rstrip
+    # takes them off again: right only while the two agree on what a space is.
+    space = re.compile(r"\s")
+    assert [hex(c) for c in range(0x110000) if bool(space.fullmatch(chr(c))) != chr(c).isspace()] == []
+
+
+@pytest.mark.parametrize("space", ["\x1c", "\x85", "\u2028", "\u3000"], ids=repr)
+def test_unicode_spaces_after_tokens_take_the_one_findall(monkeypatch, space):
+    pieces = ("12", "°", "+", "x", "*", "sin", "(", "0.5", "rad", ")", "/", "3", "′", "=", "y")
+    texts = [space.join(pieces), space + space.join(pieces) + space * 2, "a" + space + "=" + space + "7" + space]
+
+    def no_loop(*args):
+        raise AssertionError("the character loop read the line")
+
+    monkeypatch.setattr(textio, "_lex", no_loop)
+    fast = [parse_expression(text, 3) for text in texts]
+    monkeypatch.undo()
+    monkeypatch.setattr(textio, "_LINE_RE", _NEVER)
+    assert [parse_expression(text, 3) for text in texts] == fast

@@ -63,3 +63,38 @@ def test_the_package_exports_exactly_what_it_imports():
         for alias in node.names
     ]
     assert sorted(anglekit.__all__) == sorted(imported)
+
+
+def private_names_never_loaded(sources: list[str]) -> list[str]:
+    """Module-level _names that the sources define and never load by name or attribute."""
+    defined, loaded = {}, set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = node.lineno
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return [f"{name} (line {line})" for name, line in defined.items() if name not in loaded]
+
+
+def test_every_private_module_name_is_used():
+    package = pathlib.Path(anglekit.__file__).parent
+    sources = [path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))]
+    assert private_names_never_loaded(sources) == []
+
+
+def test_the_check_sees_an_unused_private_name():
+    source = "_A = 1\n_B, _C = 2, 3\ndef _f():\n    return _A\nclass _K:\n    pass\nx = _K.__name__ + str(_C)\n"
+    assert private_names_never_loaded([source, "import m\nm._B\n"]) == ["_f (line 3)"]
