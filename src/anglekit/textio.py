@@ -350,15 +350,11 @@ def _scan_unit(text: str, i: int) -> tuple[ReferenceAngle, int]:
 
 
 def _dms_value(m: re.Match) -> AngleValue:
-    sign, degrees, minutes, seconds_text = m.group("sign", "deg", "min", "sec")
-    sign, minutes = -1 if sign == "-" else 1, minutes or "0"
-    whole, _, frac = (seconds_text or "0").partition(".")
-    if len(degrees) <= 18 and len(minutes) <= 18 and len(whole) + len(frac) <= _EXACT_DIGIT_LIMIT:
-        degrees, minutes, seconds = int(degrees), int(minutes), (int(whole + frac), 10 ** len(frac))
-    else:  # long runs: the general readers word the errors and degrade to a float
-        degrees = _digits_to_int(degrees, m.start("deg"))
-        minutes = _digits_to_int(minutes, m.start("min"))
-        seconds = _decimal_ratio(seconds_text, m.start("sec")) if seconds_text else (0, 1)
+    sign = -1 if m.group("sign") == "-" else 1
+    degrees = _digits_to_int(m.group("deg"), m.start("deg"))
+    minutes = _digits_to_int(m.group("min") or "0", m.start("min"))
+    seconds_text = m.group("sec")
+    seconds = _decimal_ratio(seconds_text, m.start("sec")) if seconds_text else (0, 1)
     if not isinstance(seconds, float):
         sn, sd = seconds
         try:
@@ -826,6 +822,7 @@ def parse_expression(text: str, offset: int = 0) -> ExpressionNode:
             if kind is not None:
                 tokens.append((kind, part.rstrip(), position, None))
             position += len(part)
+        del parts  # the tokens hold their own text; free the matches before parsing
         tokens.append(("END", "", position, None))
     else:
         tokens = _lex(text, offset)
