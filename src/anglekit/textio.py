@@ -75,10 +75,6 @@ _EXACT_DIGIT_LIMIT = 15
 _MAX_NESTING = 100
 
 _DECIMAL_RE = re.compile(r"\d+(?:\.(\d+))?(?:[eE][+-]?\d+)?")
-# digits[.digits] that nothing after it extends; exact when it has at
-# most 15 digits, so it skips the general scan.  π has its own lookahead:
-# in the class it would make compiling the class take twice as long.
-_PLAIN_DECIMAL_RE = re.compile(r"(\d{1,15})(?:\.(\d{1,14}))?(?![\d.eEp/])(?!π)")
 _DIGITS_RE = re.compile(r"\d+")
 
 # One match reads a whole well-formed literal: sexagesimal, with the
@@ -178,11 +174,6 @@ def _scan_number(
     Returns (value, saw_pi, end).  With allow_slash false the "/" forms
     are left untouched for an enclosing expression parser.
     """
-    m = _PLAIN_DECIMAL_RE.match(text, i)
-    if m is not None:
-        whole, frac = m.groups("")
-        if len(whole) + len(frac) <= _EXACT_DIGIT_LIMIT:
-            return ExactScalar(int(whole + frac), 10 ** len(frac)), False, m.end()
     start = i
     sign = 1
     if i < len(text) and text[i] in "+-":

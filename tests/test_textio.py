@@ -662,9 +662,8 @@ def test_front_end_matches_the_pinned_digest():
     assert digest.hexdigest() == _GOLDEN_DIGEST
 
 
-# A plain decimal of at most 15 digits takes a shortcut in the scanner;
-# each follower below either ends the number or must send it down the
-# full scan.
+# Plain decimals at and just past the 15 digits that stay exact; each
+# follower below either ends the number or extends it.
 _PLAIN_LITERALS = (
     "123456789012345",
     "1234567890123456",
