@@ -4,6 +4,9 @@ Subcommands: convert, measure, arc, chord, add, points, trig, classify,
 table, lint.  Each accepts --format {human,records}, --ascii, and
 --digits N after the subcommand name.  records mode prints one
 key=value pair per line with stable keys, suitable for scripting.
+A well-formed call builds no parser.  argparse reads any other (help,
+an abbreviated or --opt=value option, a signed operand before "--", a
+"--" that ends the line, a bad value) and prints help and usage errors.
 
 A handler returns its records as (key, value) pairs, and `main` is
 their one printer: records mode prints them as key=value lines, human
@@ -74,10 +77,12 @@ _SIGNED_OPERAND = re.compile(r"-(\d|\.|π|pi)")
 
 
 def _digits_arg(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= 17:
-        raise argparse.ArgumentTypeError("digits must be between 1 and 17")
-    return value
+    try:
+        if 1 <= (value := int(text)) <= 17:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("digits must be between 1 and 17")
 
 
 def _unit_text(reference, args) -> str:
@@ -247,6 +252,21 @@ def _cmd_lint(args) -> int:
 # ----------------------------------------------------------------------
 # parser assembly
 
+# command: (handler, help line, operands); calls look a handler up by name, so patches apply.
+_COMMANDS = {
+    "convert": (_cmd_convert, "re-express an angle in another unit", "angle unit"),
+    "measure": (_cmd_measure, "dimensionless measure of an angle", "angle"),
+    "arc": (_cmd_arc, "arc length measure*radius", "angle radius"),
+    "chord": (_cmd_chord, "chord length 2r*sin(measure/2)", "angle radius"),
+    "add": (_cmd_add, "semigroup sum of two magnitudes", "first second"),
+    "points": (_cmd_points, "angle between rays vertex->p and vertex->q", "px py vx vy qx qy"),
+    "trig": (_cmd_trig, "periodized trig functions", "function argument"),
+    "classify": (_cmd_classify, "name the range an angle falls in", "angle"),
+    "table": (_cmd_table, "builtin unit conversion factors", ""),
+    "lint": (_cmd_lint, "lint a file of angle statements ('-' for stdin)", "path"),
+}
+_FORMATS, _FUNCTIONS = ("human", "records"), FORWARD_KINDS + INVERSE_KINDS
+
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The anglekit parser, with only `command`'s subparser when it names one.
@@ -256,66 +276,76 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--format",
-        choices=("human", "records"),
-        default="human",
-        help="output style: prose or key=value lines",
+        "--format", choices=_FORMATS, default="human", help="output style: prose or key=value lines"
     )
     common.add_argument(
-        "--ascii",
-        action="store_true",
-        help="restrict output to 7-bit characters (pi, deg, ...)",
+        "--ascii", action="store_true", help="restrict output to 7-bit characters (pi, deg, ...)"
     )
     common.add_argument(
-        "--digits",
-        type=_digits_arg,
-        default=17,
-        metavar="N",
+        "--digits", type=_digits_arg, default=17, metavar="N",
         help="significant digits for floats (1-17, default 17)",
     )
 
     parser = argparse.ArgumentParser(
-        prog="anglekit",
-        description="Exact angle conversions, measures, geometry, and linting.",
+        prog="anglekit", description="Exact angle conversions, measures, geometry, and linting."
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    commands = [
-        ("convert", _cmd_convert, "re-express an angle in another unit", "angle unit"),
-        ("measure", _cmd_measure, "dimensionless measure of an angle", "angle"),
-        ("arc", _cmd_arc, "arc length measure*radius", "angle radius"),
-        ("chord", _cmd_chord, "chord length 2r*sin(measure/2)", "angle radius"),
-        ("add", _cmd_add, "semigroup sum of two magnitudes", "first second"),
-        ("points", _cmd_points, "angle between rays vertex->p and vertex->q", "px py vx vy qx qy"),
-        ("trig", _cmd_trig, "periodized trig functions", "function argument"),
-        ("classify", _cmd_classify, "name the range an angle falls in", "angle"),
-        ("table", _cmd_table, "builtin unit conversion factors", ""),
-        ("lint", _cmd_lint, "lint a file of angle statements ('-' for stdin)", "path"),
-    ]
-    rows = [row for row in commands if row[0] == command] or commands
-    for name, handler, help_text, operands in rows:
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        handler, help_text, operands = _COMMANDS[name]
         p = sub.add_parser(name, parents=[common], help=help_text)
         p._negative_number_matcher = _SIGNED_OPERAND
         for operand in operands.split():
-            choices = FORWARD_KINDS + INVERSE_KINDS if operand == "function" else None
-            p.add_argument(operand, choices=choices)
+            p.add_argument(operand, choices=_FUNCTIONS if operand == "function" else None)
         if name == "trig":
             p.add_argument("--period", default="2pi", help="full circle (exact number, default 2pi)")
-        p.set_defaults(func=handler)
+        p.set_defaults(func=globals()[handler.__name__])
 
     return parser
 
 
+def _read_argv(argv) -> argparse.Namespace | None:
+    """The namespace argparse gives a well-formed call, or None for any other."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, operands, tokens = argv[0], [], iter(argv[1:])
+    handler, _, names = _COMMANDS[command]
+    options = {"format": "human", "ascii": False, "digits": 17}
+    options |= {"period": "2pi"} if command == "trig" else {}
+    for token in tokens:
+        if token == "--":
+            operands += tokens
+        elif token == "-" or token[:1] != "-":
+            operands.append(token)
+        elif token == "--ascii":
+            options["ascii"] = True
+        else:
+            key, value = token[2:], next(tokens, "-")
+            if (token[:2] != "--" or key not in options or value[:1] == "-"
+                    or key == "format" and value not in _FORMATS):
+                return None
+            try:
+                options[key] = _digits_arg(value) if key == "digits" else value
+            except argparse.ArgumentTypeError:
+                return None
+    if ("--" in operands or argv[-1] == "--" or len(operands) != len(names.split())
+            or command == "trig" and operands[0] not in _FUNCTIONS):
+        return None
+    options.update(zip(names.split(), operands), command=command, func=globals()[handler.__name__])
+    return argparse.Namespace(**options)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv[0] if argv else None)
-    try:
-        args, extras = parser.parse_known_args(argv)
-        # `table` has no operand to take a "--" that ends its options.
-        if extras and not (extras == ["--"] and args.command == "table"):
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    if (args := _read_argv(argv)) is None:
+        parser = _build_parser(argv[0] if argv else None)
+        try:
+            args, extras = parser.parse_known_args(argv)
+            # `table` has no operand to take a "--" that ends its options.
+            if extras and not (extras == ["--"] and args.command == "table"):
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         records = args.func(args)
         if isinstance(records, int):  # arc, table and lint print their own lines

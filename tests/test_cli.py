@@ -409,8 +409,10 @@ class TestUsageAndSafety:
         assert code == 2
 
     def test_digits_out_of_range(self, run_cli):
-        code, _, _ = run_cli("measure", "1 rad", "--digits", "0")
-        assert code == 2
+        for digits in ("0", "x", "1e3"):
+            code, _, err = run_cli("measure", "1 rad", "--digits", digits)
+            assert code == 2
+            assert err.endswith("error: argument --digits: digits must be between 1 and 17\n")
 
     def test_internal_failures_map_to_seventy(self, run_cli, monkeypatch):
         def boom(args):
@@ -778,3 +780,144 @@ def test_cli_transcripts_match_the_pinned_digest(run_cli):
         assert not err.startswith("usage:"), argv
         digest.update(repr((argv, code, out, err)).encode("utf-8") + b"\n")
     assert digest.hexdigest() == _TRANSCRIPT_DIGEST
+
+
+# One argv per command in the shape the cold-process benchmark runs:
+# `command --format F [--period P] -- operands`, signed operands included.
+_COLD_PROCESS_ARGV = [
+    ["convert", "--format", "human", "--", "-30°", "rad"],
+    ["measure", "--format", "records", "--", "-1/4 turn"],
+    ["arc", "--format", "human", "--", "90°", "2"],
+    ["chord", "--format", "records", "--", "60°", "2"],
+    ["add", "--format", "human", "--", "30°", "45°"],
+    ["points", "--format", "records", "--", "1.5", "-2.25", "0.0", "0.0", "-3.0", "4.0"],
+    ["trig", "--format", "human", "--period", "360", "--", "cos", "-45.5"],
+    ["classify", "--format", "records", "--", "0.3 turn"],
+    ["table", "--format", "records"],
+    ["lint", "--format", "human", "--", "-"],
+]
+
+
+def test_a_well_formed_call_builds_no_parser(run_cli, monkeypatch):
+    """The argv the cold-process benchmark runs print what argparse's reading
+    of them prints, with `_build_parser` unusable; help, abbreviated options
+    and signed operands before "--" still go to argparse."""
+    import anglekit.cli
+
+    def run(argv):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("angle a = pi\n"))
+        return run_cli(*argv)
+
+    corpus = [["convert", "180°", "rad"], *_COLD_PROCESS_ARGV]
+    with monkeypatch.context() as patch:
+        patch.setattr(anglekit.cli, "_read_argv", lambda argv: None)
+        expected = [run(argv) for argv in corpus]
+    assert expected[0] == (0, "π rad\n", "")
+    assert all(code in (0, 1) and not err for code, _, err in expected)
+
+    def refuse(command=None):
+        raise LookupError(f"built a parser for {command}")
+
+    monkeypatch.setattr(anglekit.cli, "_build_parser", refuse)
+    assert [run(argv) for argv in corpus] == expected
+    for argv in (
+        ["convert", "--help"],
+        ["convert", "180°", "rad", "--form", "records"],
+        ["convert", "180°", "rad", "--format=records"],
+        ["convert", "-30°", "rad"],
+    ):
+        with pytest.raises(LookupError, match="built a parser"):
+            main(argv)
+
+
+_SOUP_TOKENS = [
+    "--format", "--ascii", "--digits", "--period", "human", "records", "xml", "5", "0", "17",
+    "18", "x", "1e3", " 7", "--form", "--asc", "--dig", "--per", "--f", "--format=records",
+    "--digits=5", "--ascii=1", "-h", "--help", "--", "-", "-30°", "-5", "-.5", "-pi/6", "-π",
+    "-x", "-x y", "-.digits", "-—format", "", "180°", "rad", "2pi", "360", "sin", "arccos",
+    "tangent", "1",
+]
+_SOUP_OPERANDS = ["180°", "rad", "1", "2pi", "sin", "arccos", "tangent", "-", "", "-30°", "-.5"]
+_SOUP_OPTIONS = [
+    ["--ascii"], ["--format", "human"], ["--format", "records"], ["--digits", "5"],
+    ["--digits", "17"], ["--period", "360"], ["--period", ""],
+]
+
+
+def _soup_argv(rng):
+    """A command line near a well-formed one: its operands and options in any
+    order, maybe a "--", then up to three tokens inserted, replaced or deleted."""
+    command = rng.choice([*_OPERANDS, "frobnicate", "", "--format"])
+    tokens = [rng.choice(_SOUP_OPERANDS) for _ in _OPERANDS.get(command, ())]
+    for option in rng.sample(_SOUP_OPTIONS, rng.randint(0, 3)):
+        at = rng.randint(0, len(tokens))
+        tokens[at:at] = option
+    if rng.random() < 0.4:
+        tokens.insert(rng.randint(0, len(tokens)), "--")
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        at = rng.randint(0, len(tokens))
+        edit = rng.random()
+        if edit < 0.5:
+            tokens.insert(at, rng.choice(_SOUP_TOKENS))
+        elif at < len(tokens):
+            tokens[at : at + 1] = [rng.choice(_SOUP_TOKENS)] if edit < 0.8 else []
+    return [command, *tokens]
+
+
+def test_the_reader_agrees_with_argparse():
+    """Wherever `_read_argv` reads a command line, argparse accepts it too
+    (as `main` does, with its `table --` allowance) and gives the same namespace."""
+    from contextlib import redirect_stderr
+
+    from anglekit.cli import _build_parser, _read_argv
+
+    parsers = {}
+
+    def argparse_vars(argv):
+        if argv[0] not in parsers:
+            parsers[argv[0]] = _build_parser(argv[0])
+        try:
+            with redirect_stderr(io.StringIO()):
+                args, extras = parsers[argv[0]].parse_known_args(argv)
+        except SystemExit:
+            return None
+        if extras and not (extras == ["--"] and args.command == "table"):
+            return None
+        return vars(args)
+
+    usage_argv = [
+        [], ["frobnicate", "1"], ["measure", "1 rad"], ["measure", "1 rad", "--digits", "0"],
+        ["measure", "1 rad", "--digits", "x"], ["measure", "1 rad", "--digits", "1e3"],
+        ["convert", "@@@", "rad"], ["arc", "90°", "0"], ["add", "300°", "300°"],
+        ["convert", "--", "1" * 5000 + "/3 rad", "deg"], ["convert", "--", "1" * 400 + "°", "rad"],
+        ["trig", "sin", "1", "--period", "1" * 5000 + "/3"], ["convert", "-30°", "rad"],
+        ["measure", "-90°"], ["trig", "sin", "-pi/6"], ["classify", "-12°34′56″"],
+        ["trig", "sin", "1", "--period", "-2pi"], ["measure", "1 rad", "--digits", "-5"],
+        ["convert", "-30°", "rad", "--ascii", "--format", "records"],
+        ["convert", "180°", "rad", "--format", "records"], ["table", "--"],
+        ["table", "--format", "records", "--ascii", "--"], ["table", "x"], ["table", "--", "x"],
+        ["table", "--", "--"], ["measure", "180°", "--", "--"], ["convert", "1", "--", "--"],
+        ["arc", "90°", "--", "--"], ["convert", "--", "--", "rad"],
+        ["points", "1", "2", "--", "3", "--", "5", "6"],
+    ]
+    corpus = [argv for argv, _ in GOLDEN] + [argv for argv, _, _ in ERROR_GOLDEN] + usage_argv
+    corpus += _RECORD_COMMANDS + [[*argv, "--format", "records"] for argv in _RECORD_COMMANDS]
+    corpus += _COLD_PROCESS_ARGV
+    for command, operands in _OPERANDS.items():
+        for period in ["1", "360", "400", "2pi", "2pi/3"] if command == "trig" else [None]:
+            options = ["--period", period] if period else []
+            separator = ["--"] if operands else []
+            for fmt in ("human", "records"):
+                corpus.append([command, "--format", fmt, *options, *separator, *operands])
+    rng = random.Random(15)
+    corpus += [_transcript_argv(rng) for _ in range(2400)]
+    rng = random.Random(22)
+    corpus += [_soup_argv(rng) for _ in range(20000)]
+
+    read = 0
+    for argv in corpus:
+        args = _read_argv(argv)
+        if args is not None:
+            read += 1
+            assert vars(args) == argparse_vars(argv), argv
+    assert 3000 < read < len(corpus) // 2
