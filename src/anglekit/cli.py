@@ -72,8 +72,8 @@ EXIT_INTERNAL = 70
 # `-1.5` before Python 3.13, whose matcher is `-\.?\d`.  A signed angle
 # ("-30°", "-π/6 rad", "-pi/6") is an operand too, so each subparser
 # takes every token that starts with "-" and then a digit, a point, π or
-# pi as one.  No option of ours is spelled that way.
-_SIGNED_OPERAND = re.compile(r"-(\d|\.|π|pi)")
+# pi as one.  No option of ours is spelled that way; only argparse reads it.
+_SIGNED_OPERAND = r"-(\d|\.|π|pi)"
 
 
 def _digits_arg(text: str) -> int:
@@ -294,7 +294,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name in [command] if command in _COMMANDS else _COMMANDS:
         handler, help_text, operands = _COMMANDS[name]
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p._negative_number_matcher = _SIGNED_OPERAND
+        p._negative_number_matcher = re.compile(_SIGNED_OPERAND)
         for operand in operands.split():
             p.add_argument(operand, choices=_FUNCTIONS if operand == "function" else None)
         if name == "trig":
@@ -347,6 +347,8 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
     try:
+        if [] in vars(args).values():  # argparse drops a second "--" and leaves its operand empty
+            raise ParseError("a second '--' is not allowed")
         records = args.func(args)
         if isinstance(records, int):  # arc, table and lint print their own lines
             return records

@@ -20,8 +20,6 @@ exception; the linter never raises on input text.
 
 from __future__ import annotations
 
-import re
-
 from .errors import ParseError
 from .exact import Record
 from .textio import (
@@ -31,6 +29,8 @@ from .textio import (
     Identifier,
     NumberLiteral,
     QuantityLiteral,
+    _Deferred,
+    _is_flat,
     parse_expression,
     walk,
 )
@@ -58,10 +58,8 @@ ALL_RULES = (
 
 TRIG_FUNCTIONS = frozenset(FORWARD_KINDS + INVERSE_KINDS)
 
-_STATEMENT_RE = re.compile(
-    r"^\s*(?P<kw>angle|length)\s+(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"\s*(?:=\s*(?P<expr>.*))?$"
-)
+_STATEMENT_RE = _Deferred(globals(), "_STATEMENT_RE",
+                          r"^\s*(?P<kw>angle|length)\s+(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*(?:=\s*(?P<expr>.*))?$")
 
 
 class LintFinding(Record):
@@ -100,9 +98,7 @@ def lint_text(text: str) -> list[LintFinding]:
 
 def _lint_line(line: str, line_number: int, declared: dict[str, str]) -> list[LintFinding]:
     excerpt = line.strip()
-    target: str | None = None
-    right: ExpressionNode | None = None
-    full: ExpressionNode | None = None
+    target = right = full = None
     try:
         m = _STATEMENT_RE.match(line)
         if m is not None:
@@ -112,9 +108,12 @@ def _lint_line(line: str, line_number: int, declared: dict[str, str]) -> list[Li
                 offset = m.start("expr")
                 if not expr_text.strip():
                     raise ParseError("missing right-hand side", offset)
-                right = parse_expression(expr_text, offset)
-                full = right
+                if m.group("kw") == "length" and _is_flat(expr_text):
+                    return []  # no rule reads a length's value without a call ("(" fails the match)
+                right = full = parse_expression(expr_text, offset)
                 target = m.group("name")
+        elif declared.get(line.partition("=")[0].strip()) != "angle" and _is_flat(line):
+            return []  # nor a line with no call and no declared angle before its "="
         else:
             full = parse_expression(line)
             if (

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 
 from .angles import (
     _ALIASES,
@@ -654,12 +655,30 @@ def walk(node: ExpressionNode):
 # value is the ExactScalar of a NUMBER the character loop read, else None.
 
 
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# One findall reads leading spaces, then tokens, each with the spaces after it: plain decimals
-# of at most 15 digits, words other than pi, * / = ( ), unit symbols (a class of their own
-# compiles faster) and "+" before a space.
-_LINE_RE = re.compile(r"\s+|(?:(?=[0-9.]{1,16}(?![0-9.]))[0-9]{1,15}(?:\.[0-9]{1,14})?(?![0-9.eEp])(?!π)"
-                      r"|(?!pi(?![A-Za-z_]))[A-Za-z_][A-Za-z0-9_]*|[*/=()]|[°′″]|\+(?=\s))\s*")
+class _Deferred:
+    """A pattern compiled on first use into the global that held it: import pays for none of lint's."""
+
+    def __init__(self, namespace: dict, name: str, pattern: str):
+        self.namespace, self.name, self.pattern = namespace, name, pattern
+
+    def __getattr__(self, attribute: str):
+        compiled = self.namespace[self.name] = re.compile(self.pattern)
+        return getattr(compiled, attribute)
+
+
+_WORD_RE = _Deferred(globals(), "_WORD_RE", r"[A-Za-z_][A-Za-z0-9_]*")
+# Plain decimals of at most 15 digits and words other than pi, as the findall and _FLAT_RE read them.
+_PLAIN = r"(?=[0-9.]{1,16}(?![0-9.]))[0-9]{1,15}(?:\.[0-9]{1,14})?(?![0-9.eEp])(?!π)"
+_NAME = r"(?!pi(?![A-Za-z_]))[A-Za-z_][A-Za-z0-9_]*"
+# One findall reads leading spaces, then tokens, each with the spaces after it: _PLAIN, _NAME,
+# * / = ( ), unit symbols (a class of their own compiles faster) and "+" before a space.
+_LINE_RE = _Deferred(globals(), "_LINE_RE", rf"\s+|(?:{_PLAIN}|{_NAME}|[*/=()]|[°′″]|\+(?=\s))\s*")
+# Operands (a _PLAIN with an optional unit, or a _NAME), each before + * / = and another, or the end.
+# An operand ends in one place only, so the possessive "++" of Python 3.11 matches the same texts
+# and keeps no backtracking state: a 100,000-term line needs a few kB, not 79 MB.
+_OPERAND = rf"\s*(?:{_PLAIN}(?:\s*(?:{'|'.join(sorted(_ALIASES, key=len, reverse=True))}))?|{_NAME})\s*"
+_FLAT_RE = _Deferred(
+    globals(), "_FLAT_RE", rf"(?:{_OPERAND}(?:[+*/=](?=\s*\S)|\Z))+" + "+" * (sys.version_info >= (3, 11)))
 _KINDS = dict.fromkeys(_UNIT_SYMBOLS, "UNIT") | {  # a part's kind by its first character; None for spaces
     c: "NUMBER" if c.isdigit() else "WORD" if c.isidentifier() else c for c in map(chr, range(33, 127))}
 
@@ -820,3 +839,8 @@ def parse_expression(text: str, offset: int = 0) -> ExpressionNode:
     if tokens[0][0] == "END":
         raise ParseError("empty expression", offset)
     return _parse_tokens(tokens)
+
+
+def _is_flat(text: str) -> bool:
+    """Whether one match finds text to be operands joined by + * / and at most one "=", which parse."""
+    return text.count("=") < 2 and _FLAT_RE.fullmatch(text) is not None

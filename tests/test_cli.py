@@ -568,6 +568,14 @@ ERROR_GOLDEN = [
         "error: period must be an exact number\n",
     ),
     (["classify", "370°"], 5, "error: classification needs a value in [0, full_circle]\n"),
+    # argparse takes a second "--" for a separator too, and drops it from the operands
+    *[
+        (argv, 2, "error: a second '--' is not allowed\n")
+        for argv in (
+            ["convert", "1 rad", "--", "--"], ["arc", "90°", "--", "--"], ["chord", "90°", "--", "--"],
+            ["add", "90°", "--", "--"], ["trig", "sin", "--", "--"], ["points", "1", "2", "--", "3", "--", "5", "6"],
+        )
+    ],
 ]
 
 
@@ -864,12 +872,14 @@ def _soup_argv(rng):
     return [command, *tokens]
 
 
-def test_the_reader_agrees_with_argparse():
+def test_the_reader_agrees_with_argparse(monkeypatch):
     """Wherever `_read_argv` reads a command line, argparse accepts it too
-    (as `main` does, with its `table --` allowance) and gives the same namespace."""
-    from contextlib import redirect_stderr
+    (as `main` does, with its `table --` allowance) and gives the same namespace.
+    No command line of the corpus, read or not, ends in an internal error."""
+    from contextlib import redirect_stderr, redirect_stdout
 
-    from anglekit.cli import _build_parser, _read_argv
+    import anglekit.cli
+    from anglekit.cli import EXIT_INTERNAL, _build_parser, _read_argv
 
     parsers = {}
 
@@ -921,3 +931,13 @@ def test_the_reader_agrees_with_argparse():
             read += 1
             assert vars(args) == argparse_vars(argv), argv
     assert 3000 < read < len(corpus) // 2
+
+    def cached_parser(command=None):
+        if command not in parsers:
+            parsers[command] = _build_parser(command)
+        return parsers[command]
+
+    monkeypatch.setattr(anglekit.cli, "_build_parser", cached_parser)  # argparse parsers are reusable
+    monkeypatch.setattr(sys, "stdin", io.StringIO())  # `lint -` reads an empty file
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert [argv for argv in corpus if main(argv) == EXIT_INTERNAL] == []

@@ -322,6 +322,17 @@ class TestDeepInputs:
             (RULE_MISSING_REFERENCE_SYMBOL, 1, line.rindex("+") + 1)
         ]
 
+    @pytest.mark.parametrize("head", ["y = ", "length s = "])
+    def test_hundred_thousand_term_flat_lines(self, head):
+        body = " + ".join(("7", "a1", "2.5 deg", "3°")[k % 4] for k in range(100_000))
+        assert lint_timed(head + body, 10.0) == []
+        line = head + body + "$"  # fails at its last character
+        assert [(f.rule, f.column) for f in lint_timed(line, 10.0)] == [(None, len(line))]
+        line = head + body + " = 1"  # the statement's "=" is not the expression's
+        findings = [(f.rule, f.column, f.message) for f in lint_timed(line, 10.0)]
+        chained = (None, line.rindex("=") + 1, "chained '=' is not allowed")
+        assert findings == ([chained] if head == "y = " else [])
+
     def test_ten_thousand_factor_product_chain(self):
         factors = " ".join(f"{k % 9 + 1} {'*/'[k % 2]}" for k in range(9_999))
         line = f"y = cos({factors} 0.5 rad)"

@@ -331,6 +331,26 @@ def test_the_cli_imports_no_heavy_standard_modules():
     assert wanted <= loaded
 
 
+def test_importing_the_cli_compiles_no_deferred_pattern():
+    """Patterns only lint, `parse_expression` and argparse read compile on first use."""
+    child = (
+        "import re\n"
+        "compiled, compile = [], re.compile\n"
+        "re.compile = lambda pattern, flags=0: compiled.append(pattern) or compile(pattern, flags)\n"
+        "from anglekit import cli, lint, textio\n"
+        "deferred = [textio._LINE_RE, textio._WORD_RE, textio._FLAT_RE, lint._STATEMENT_RE]\n"
+        "print(textio._LITERAL_RE.pattern in compiled)\n"  # the hook sees the eager patterns
+        "print([p for p in [*(d.pattern for d in deferred), cli._SIGNED_OPERAND] if p in compiled])\n"
+        "textio.parse_expression('x')\n"
+        "print(isinstance(textio._LINE_RE, re.Pattern))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == ["True", "[]", "True"]
+
+
 def test_fractions_loaded_after_anglekit_still_mix_with_exact_scalars():
     """`exact` finds `Fraction` in sys.modules, so it need not import it."""
     child = (

@@ -1040,10 +1040,57 @@ def test_most_statement_lines_take_the_one_findall(monkeypatch):
     parse, lex = lint.parse_expression, textio._lex
     monkeypatch.setattr(lint, "parse_expression", lambda *args: calls.append(args) or parse(*args))
     monkeypatch.setattr(textio, "_lex", lambda *args: looped.append(args) or lex(*args))
+    monkeypatch.setattr(textio, "_FLAT_RE", _NEVER)  # count over every line, as if none were flat
     fast = [lint.lint_text(text) for text in files]
     assert len(calls) > 1_000 and len(looped) < len(calls) // 10
+    monkeypatch.undo()
     monkeypatch.setattr(textio, "_LINE_RE", _NEVER)
     assert [lint.lint_text(text) for text in files] == fast
+
+
+_FLAT_OPERANDS = ("x", "a1", "_b", "s2", "rad", "7", "42", "3.25", "7 deg", "7°", "3.5rad", "12 arcsec", "9′", "1 turn")
+_FLAT_OPERATORS = (" + ", " * ", " / ", "+", "*", "/", " +", "\t*\t", " = ")
+_FLAT_TRAPS = (
+    "-", "+", "-3", "+5", "pi", "π", " pi", "2pi", "pi2", "1e3", "2E-3", "1" * 16, "1" * 15 + ".5", "9" * 15,
+    "degx", "radian_", "3gonx", "°x", " x", "x", "2", "\x1c", "\u2028", "\u3000", "=", " = ", "5.", ".5", "$",
+    "?", ")", "1/2", " ", "",
+)
+
+
+def _flat_text(rng):
+    """Operands joined by operators, and often a trap put in or in place of a piece."""
+    parts = [rng.choice(_FLAT_OPERANDS)]
+    for _ in range(rng.randint(0, 6)):
+        parts += [rng.choice(_FLAT_OPERATORS), rng.choice(_FLAT_OPERANDS)]
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        at = rng.randrange(len(parts) + 1)
+        parts[at : at + rng.randint(0, 1)] = [rng.choice(_FLAT_TRAPS)]
+    return "".join(parts)
+
+
+def test_the_flat_recognizer_accepts_only_what_parses(monkeypatch):
+    rng = random.Random(23)
+    statements = [_lint_statement(rng, index) for index in range(10_000)]
+    texts = _golden_corpus() + [_lexer_text(rng) for _ in range(10_000)] + [_flat_text(rng) for _ in range(20_000)]
+    texts += statements + [line.partition("=")[2] for line in statements]
+    accepted = [text for text in texts if textio._is_flat(text)]
+    assert len(accepted) > len(texts) // 5
+    for text in accepted:
+        parse_expression(text)  # raises if the recognizer took text the parser refuses
+    # Python 3.10 has no possessive "++": the greedy "+" it reads instead accepts the same texts
+    pattern = textio._FLAT_RE.pattern
+    greedy = re.compile(pattern[:-1] if pattern.endswith("++") else pattern)
+    assert [text for text in texts if text.count("=") < 2 and greedy.fullmatch(text)] == accepted
+    # Whatever the recognizer does, lint finds what the trees show: the files declare
+    # some names as angles and some as lengths, and flat lines assign to both.
+    heads = ["angle x", "angle a1", "length _b", "length s2", "angle rad"]
+    files = ["\n".join(heads + [rng.choice((f"{name} = ", "length q = ", "")) + _flat_text(rng)
+                                 for name in rng.choices(("x", "a1", "_b", "s2", "y"), k=20)])
+             for _ in range(300)]
+    files += ["\n".join(heads + statements[k : k + 40]) for k in range(0, len(statements), 40)]
+    found = [lint.lint_text(text) for text in files]
+    monkeypatch.setattr(textio, "_FLAT_RE", _NEVER)
+    assert [lint.lint_text(text) for text in files] == found
 
 
 # ----------------------------------------------------------------------
