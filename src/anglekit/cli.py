@@ -268,12 +268,7 @@ _COMMANDS = {
 _FORMATS, _FUNCTIONS = ("human", "records"), FORWARD_KINDS + INVERSE_KINDS
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The anglekit parser, with only `command`'s subparser when it names one.
-
-    Any other first token (none, an option, an unknown name) gets every
-    subparser, so the program's help and its usage errors list them all.
-    """
+def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=_FORMATS, default="human", help="output style: prose or key=value lines"
@@ -291,15 +286,13 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    for name in [command] if command in _COMMANDS else _COMMANDS:
-        handler, help_text, operands = _COMMANDS[name]
+    for name, (_, help_text, operands) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
         p._negative_number_matcher = re.compile(_SIGNED_OPERAND)
         for operand in operands.split():
             p.add_argument(operand, choices=_FUNCTIONS if operand == "function" else None)
         if name == "trig":
             p.add_argument("--period", default="2pi", help="full circle (exact number, default 2pi)")
-        p.set_defaults(func=globals()[handler.__name__])
 
     return parser
 
@@ -309,7 +302,7 @@ def _read_argv(argv) -> argparse.Namespace | None:
     if not argv or argv[0] not in _COMMANDS:
         return None
     command, operands, tokens = argv[0], [], iter(argv[1:])
-    handler, _, names = _COMMANDS[command]
+    names = _COMMANDS[command][2]
     options = {"format": "human", "ascii": False, "digits": 17}
     options |= {"period": "2pi"} if command == "trig" else {}
     for token in tokens:
@@ -331,14 +324,14 @@ def _read_argv(argv) -> argparse.Namespace | None:
     if ("--" in operands or argv[-1] == "--" or len(operands) != len(names.split())
             or command == "trig" and operands[0] not in _FUNCTIONS):
         return None
-    options.update(zip(names.split(), operands), command=command, func=globals()[handler.__name__])
+    options.update(zip(names.split(), operands), command=command)
     return argparse.Namespace(**options)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if (args := _read_argv(argv)) is None:
-        parser = _build_parser(argv[0] if argv else None)
+        parser = _build_parser()
         try:
             args, extras = parser.parse_known_args(argv)
             # `table` has no operand to take a "--" that ends its options.
@@ -349,7 +342,7 @@ def main(argv=None) -> int:
     try:
         if [] in vars(args).values():  # argparse drops a second "--" and leaves its operand empty
             raise ParseError("a second '--' is not allowed")
-        records = args.func(args)
+        records = globals()[_COMMANDS[args.command][0].__name__](args)
         if isinstance(records, int):  # arc, table and lint print their own lines
             return records
         if args.format == "records":

@@ -107,6 +107,24 @@ def _pi_order(a: int, b: int, k: int) -> int:
         bits *= 2
 
 
+def _pi_multiple(n: int, d: int, e: int) -> float:
+    """(n/d)·π^e correctly rounded, for integers n and d > 0 of any size and e = ±1.
+
+    The ends of π's `pi_bits` interval bracket it, with bits doubling until
+    both ends round alike; integer true division rounds correctly.
+    """
+    bits = 64
+    while True:
+        low = pi_bits(bits)
+        if e == 1:
+            value, other_end = n * low / (d << bits), n * (low + 1) / (d << bits)
+        else:
+            value, other_end = (n << bits) / (d * low), (n << bits) / (d * (low + 1))
+        if value == other_end:
+            return value
+        bits *= 2
+
+
 def compare_triples(n1: int, d1: int, e1: int, n2: int, d2: int, e2: int) -> int:
     """Sign of (n1/d1)·π^e1 − (n2/d2)·π^e2, for positive d1 and d2, decided in integers."""
     lhs, rhs = n1 * d2, n2 * d1
@@ -244,31 +262,15 @@ class ExactScalar:
         return self.is_exact and self.numerator == 0
 
     def to_float(self) -> float:
-        """Correctly rounded float conversion.
-
-        A π-carrying value is bracketed in integers by the two ends of
-        π's `pi_bits` interval, and the bracket widens π's bits until
-        both ends round to the same float.  Integer true division rounds
-        correctly, so that float is the correctly rounded value.
-        Chaining float operations instead (multiply by π, then divide)
-        can drift 2 ulp, which is too sloppy for a type whose whole point
-        is accounting for every rounding.
+        """Correctly rounded float conversion, by `_pi_multiple` for a
+        π-carrying value.  Chaining float operations instead (multiply by
+        π, then divide) can drift 2 ulp, which is too sloppy for a type
+        whose whole point is accounting for every rounding.
         """
         if not self.is_exact:
             return self.inexact_value
         n, d, e = self.numerator, self.denominator, self.pi_exponent
-        if e == 0:
-            return n / d
-        bits = 64
-        while True:
-            low = pi_bits(bits)
-            if e == 1:
-                value, other_end = n * low / (d << bits), n * (low + 1) / (d << bits)
-            else:
-                value, other_end = (n << bits) / (d * low), (n << bits) / (d * (low + 1))
-            if value == other_end:
-                return value
-            bits *= 2
+        return n / d if e == 0 else _pi_multiple(n, d, e)
 
     def _ratio(self):
         """(n, d, π exponent) of an exact value or a finite float; None for inf and NaN."""

@@ -23,7 +23,7 @@ from .angles import (
     measure_of,
 )
 from .errors import DomainError, PoleError
-from .exact import ExactScalar, Record, pi_bits
+from .exact import ExactScalar, Record, _pi_multiple, pi_bits
 
 __all__ = [
     "FORWARD_KINDS",
@@ -39,9 +39,9 @@ __all__ = [
 
 FORWARD_KINDS = ("sin", "cos", "tan")
 INVERSE_KINDS = ("arcsin", "arccos")
-_POLE_TOLERANCE = 1e-10  # in reduced-radian space
+_HALF_PI = math.pi / 2.0
 _GUARD_BITS = 128  # bits of π kept beyond the integer part of x/p
-# (x, period, θ) of the latest reduction, replaced whole so threads see
+# (|x|, period, θ) of the latest reduction, replaced whole so threads see
 # one entry or the other; holding the period keeps its identity unique.
 _last_reduction = (None, None, 0.0)
 
@@ -84,7 +84,8 @@ def _scaled_argument(x: float, period: ExactScalar) -> float:
     Integer arithmetic throughout, with π known to lie between
     ⌊π·2^P⌋/2^P and the next step, from `pi_bits`.  Write x/p =
     (num/den)·π^(−e) for the period's π exponent e, and θ = 2π·(x/p − k)
-    with k = ⌊x/p⌋.  For e = 0 the whole turns drop out exactly.
+    with k = ⌊x/p⌋.  For e = 0 the whole turns drop out exactly, and θ =
+    2π·(num mod den)/den is rounded as `ExactScalar.to_float` rounds.
     Otherwise k comes from the turn count in fixed point.  θ is then
     bracketed by evaluating it at both ends of π's interval, with P
     starting 128 bits past the integer part of x/p.  The bracket is
@@ -100,18 +101,14 @@ def _scaled_argument(x: float, period: ExactScalar) -> float:
     e = period.pi_exponent
     num, den = a * period.denominator, b * period.numerator
     if e == 0:
-        num %= den
-        if num == 0:
-            return 0.0
+        return _pi_multiple(2 * (num % den), den, 1)
     bits = max(num.bit_length() - den.bit_length(), 0) + _GUARD_BITS
     while True:
         pi = pi_bits(bits)  # π·2^bits = Π lies in (pi, pi + 1)
         # θ·(den << shift) is within error of middle, Π's error carried
-        # through a polynomial in Π: 2·num·Π, 2·num·2^bits − 2k·den·Π
-        # or (2·num·Π − 2k·den·2^bits)·Π.
-        if e == 0:
-            middle, error, shift = 2 * num * pi, 2 * num, bits
-        elif e == 1:
+        # through a polynomial in Π: 2·num·2^bits − 2k·den·Π or
+        # (2·num·Π − 2k·den·2^bits)·Π.
+        if e == 1:
             k = (num << bits) // (den * pi)
             c1 = -2 * k * den
             middle, error, shift = c1 * pi + ((2 * num) << bits), abs(c1), bits
@@ -122,7 +119,7 @@ def _scaled_argument(x: float, period: ExactScalar) -> float:
             error, shift = abs(c2) * (2 * pi + 1) + abs(c1), 2 * bits
         low, high = middle - error, middle + error
         # (pi·den) << (shift − bits + 1) is below 2π·(den << shift).
-        if e == 0 or (low >= 0 and high < (pi * den) << (shift - bits + 1)):
+        if low >= 0 and high < (pi * den) << (shift - bits + 1):
             scale = den << shift
             theta = low / scale
             if error == 0 or theta == high / scale:
@@ -131,23 +128,26 @@ def _scaled_argument(x: float, period: ExactScalar) -> float:
 
 
 def eval_periodized(f: PeriodizedFunction, x: float) -> float:
-    """Evaluate a periodized function at a float argument."""
+    """Evaluate a periodized function at a float argument.  |x| is reduced, so
+    sin and tan are odd and cos even bit for bit; tan's pole is θ equal to
+    the float π/2 or 3π/2, where every exact odd quarter of a rational period lands."""
     global _last_reduction
     if not math.isfinite(x):
         raise DomainError("argument must be finite")
-    period = f.period
-    last_x, last_period, theta = _last_reduction
-    if last_x != x or last_period is not period:
-        theta = _scaled_argument(x, period)
-        _last_reduction = (x, period, theta)
-    if f.kind == "sin":
-        return math.sin(theta)
+    period, size = f.period, abs(x)
+    last_size, last_period, theta = _last_reduction
+    if last_size != size or last_period is not period:
+        theta = _scaled_argument(size, period)
+        _last_reduction = (size, period, theta)
     if f.kind == "cos":
         return math.cos(theta)
-    half_pi = math.pi / 2.0
-    if min(abs(theta - half_pi), abs(theta - 3.0 * half_pi)) < _POLE_TOLERANCE:
+    if f.kind == "sin":
+        value = math.sin(theta)
+    elif theta == _HALF_PI or theta == 3.0 * _HALF_PI:
         raise PoleError("tangent pole: argument is an odd quarter of the period")
-    return math.tan(theta)
+    else:
+        value = math.tan(theta)
+    return 0.0 - value if x < 0 else value  # an exact zero stays +0.0
 
 
 def eval_inverse(kind: str, period: ExactScalar, x: float) -> AngleValue:

@@ -600,21 +600,38 @@ _OPERANDS = {
 }
 
 
-@pytest.mark.parametrize("command", list(_OPERANDS))
-def test_one_subparser_prints_what_the_full_parser_prints(run_cli, monkeypatch, command):
-    """`main` builds only the named command's subparser; its help, its
-    missing-operand error and its extra-operand error are byte-identical
-    to those of the parser that has all ten."""
-    import anglekit.cli
+# sha256 of (argv, exit code, stdout, stderr) for each command's help,
+# missing-operand and extra-operand calls, and for the program's help under
+# "anglekit", at 80 columns.  A parser change must leave them unchanged.
+_USAGE_DIGESTS = {
+    "anglekit": "6bd62340a745ab579d720385873e9fa8f7df3e6924c74c55ef3b5911e4ded2c6",
+    "convert": "855b1abaafb374a85327db606545e1e3093d61012c72bc39da5049971af50111",
+    "measure": "b28d73e161b9fc8901911b6b4a30078c3f7ed53ab3a82d819e7dd4cf537f1997",
+    "arc": "31d4fc904f41380716deee74bec9a4dd0ddf2ac990546d5639a6b08ed8bd6707",
+    "chord": "1ca56e632bfa60a92888ea1044afa32c71977e3aa79c6c98b20fcfb34f0142c9",
+    "add": "363a8c1ee8fe7aa1ac1062004e1e029f5ca33a5aef3f6218d19dd3df2886ff1b",
+    "points": "4d5c0f6a86fd3f6c0f0da5bbfa7df8def246e0ee783d2b75c95cb38d4adeb73d",
+    "trig": "42469d6476b29d057da065e14291e4ce8def93647ce1532df6d7f803f9d2c946",
+    "classify": "45ca8935a4d7cbe25c4c40c350d41a02caf95a7e2b645715f347e8b93cc79e61",
+    "table": "afcc4bcffba7bcae5244ca4003dad8bf63bdb8f359de50f6e9ae175359efbdc7",
+    "lint": "ee7525543eaad27da2eb668872f671f1e57455285fa4c8ae9f7922400181a2b7",
+}
 
-    build = anglekit.cli._build_parser
-    assert list(build(command)._subparsers._group_actions[0].choices) == [command]
-    assert list(build()._subparsers._group_actions[0].choices) == list(_OPERANDS)
-    cases = ([command, "--help"], [command], [command, *_OPERANDS[command], "extra"])
-    single = [run_cli(*argv) for argv in cases]
-    assert single[2][0] == 2 and "unrecognized arguments: extra" in single[2][2]
-    monkeypatch.setattr(anglekit.cli, "_build_parser", lambda command=None: build())
-    assert [run_cli(*argv) for argv in cases] == single
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's layout differs between versions")
+@pytest.mark.parametrize("command", ["anglekit", *_OPERANDS])
+def test_help_and_usage_errors_match_the_pinned_digest(run_cli, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = [["--help"]] if command == "anglekit" else [
+        [command, "--help"], [command], [command, *_OPERANDS[command], "extra"]
+    ]
+    digest = hashlib.sha256()
+    for argv in cases:
+        code, out, err = run_cli(*argv)
+        if argv[-1] == "extra":
+            assert code == 2 and "unrecognized arguments: extra" in err
+        digest.update(repr((argv, code, out, err)).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == _USAGE_DIGESTS[command]
 
 
 def test_unreadable_lint_file_transcript(run_cli, tmp_path):
@@ -823,8 +840,8 @@ def test_a_well_formed_call_builds_no_parser(run_cli, monkeypatch):
     assert expected[0] == (0, "π rad\n", "")
     assert all(code in (0, 1) and not err for code, _, err in expected)
 
-    def refuse(command=None):
-        raise LookupError(f"built a parser for {command}")
+    def refuse():
+        raise LookupError("built a parser")
 
     monkeypatch.setattr(anglekit.cli, "_build_parser", refuse)
     assert [run(argv) for argv in corpus] == expected
@@ -881,14 +898,12 @@ def test_the_reader_agrees_with_argparse(monkeypatch):
     import anglekit.cli
     from anglekit.cli import EXIT_INTERNAL, _build_parser, _read_argv
 
-    parsers = {}
+    parser = _build_parser()  # argparse parsers are reusable
 
     def argparse_vars(argv):
-        if argv[0] not in parsers:
-            parsers[argv[0]] = _build_parser(argv[0])
         try:
             with redirect_stderr(io.StringIO()):
-                args, extras = parsers[argv[0]].parse_known_args(argv)
+                args, extras = parser.parse_known_args(argv)
         except SystemExit:
             return None
         if extras and not (extras == ["--"] and args.command == "table"):
@@ -932,12 +947,7 @@ def test_the_reader_agrees_with_argparse(monkeypatch):
             assert vars(args) == argparse_vars(argv), argv
     assert 3000 < read < len(corpus) // 2
 
-    def cached_parser(command=None):
-        if command not in parsers:
-            parsers[command] = _build_parser(command)
-        return parsers[command]
-
-    monkeypatch.setattr(anglekit.cli, "_build_parser", cached_parser)  # argparse parsers are reusable
+    monkeypatch.setattr(anglekit.cli, "_build_parser", lambda: parser)
     monkeypatch.setattr(sys, "stdin", io.StringIO())  # `lint -` reads an empty file
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         assert [argv for argv in corpus if main(argv) == EXIT_INTERNAL] == []

@@ -515,3 +515,90 @@ def test_equality_is_symmetric_transitive_and_hash_consistent(numbers):
         if a == b:
             assert hash(a) == hash(b)
             assert (b == c) <= (a == c)
+
+
+def _operand_forms(n: int, d: int):
+    """The value n/d as an int (when whole), a Fraction and an ExactScalar."""
+    forms = [Fraction(n, d), ExactScalar(n, d)]
+    return [n // d, *forms] if d == 1 else forms
+
+
+class TestReflectedOperatorsAndOrdering:
+    """`__rsub__`, `__rtruediv__`, `__le__` and `__ge__`, with int, Fraction
+    and ExactScalar operands, against Fraction and mpmath."""
+
+    def test_quoted_examples(self):
+        assert 1 - ExactScalar(1, 3) == ExactScalar(2, 3)
+        assert 2 / ExactScalar(3, 4) == ExactScalar(8, 3)
+        assert Fraction(1, 2) - ExactScalar(1, 3) == ExactScalar(1, 6)
+        assert Fraction(3, 2) / ExactScalar(3, 4) == ExactScalar(2)
+        assert 2 / PI == ExactScalar(2, 1, -1)
+        assert ExactScalar(3, 4, 1).__rsub__(ExactScalar(1, 2, 1)) == ExactScalar(-1, 4, 1)
+        assert ExactScalar(3, 4).__rtruediv__(ExactScalar(2)) == ExactScalar(8, 3)
+
+    def test_rsub_and_rtruediv_match_fraction(self):
+        rng = random.Random(2401)
+        for _ in range(500):
+            a = (rng.randint(-10**6, 10**6), rng.choice((1, rng.randint(1, 10**6))))
+            b = (rng.randint(-10**6, 10**6) or 1, rng.randint(1, 10**6))
+            expected_difference = Fraction(*a) - Fraction(*b)
+            for left in _operand_forms(*a):
+                right = ExactScalar(*b)
+                difference = right.__rsub__(left)
+                quotient = right.__rtruediv__(left)
+                assert difference.is_exact and quotient.is_exact
+                assert Fraction(difference.numerator, difference.denominator) == expected_difference
+                assert Fraction(quotient.numerator, quotient.denominator) == Fraction(*a) / Fraction(*b)
+                if not isinstance(left, ExactScalar):
+                    assert left - right == difference and left / right == quotient
+
+    def test_reflected_operators_refuse_floats_and_zero(self):
+        with pytest.raises(TypeError):
+            1.5 - ExactScalar(1)
+        with pytest.raises(TypeError):
+            1.5 / ExactScalar(1)
+        assert ExactScalar(1).__rsub__(1.5) is NotImplemented
+        assert ExactScalar(1).__rtruediv__(1.5) is NotImplemented
+        with pytest.raises(ZeroDivisionError):
+            1 / ZERO
+
+    def test_mixed_exponent_reflected_results_are_flagged(self):
+        difference = 1 - PI
+        assert not difference.is_exact
+        with mpmath.workdps(50):
+            assert abs(difference.inexact_value - float(1 - mpmath.pi)) <= math.ulp(2.0)
+
+    def test_le_and_ge_match_the_oracle(self):
+        rng = random.Random(2402)
+        for _ in range(500):
+            n, d = rng.randint(-10**6, 10**6), rng.choice((1, rng.randint(1, 10**6)))
+            scalar = ExactScalar(rng.randint(-10**6, 10**6), rng.randint(1, 10**6), rng.choice((-1, 0, 1)))
+            with mpmath.workdps(60):
+                sign = mpmath.sign(_mp(scalar) - mpmath.mpf(n) / d)
+            for other in _operand_forms(n, d):
+                assert (scalar <= other) == (sign <= 0), (scalar, other)
+                assert (scalar >= other) == (sign >= 0), (scalar, other)
+                assert (other <= scalar) == (sign >= 0), (scalar, other)
+                assert (other >= scalar) == (sign <= 0), (scalar, other)
+
+    def test_le_and_ge_at_equality_and_near_pi(self):
+        assert ExactScalar(1, 3) <= Fraction(1, 3) and ExactScalar(1, 3) >= Fraction(1, 3)
+        assert ExactScalar(2) <= 2 and 2 >= ExactScalar(2) and PI <= PI and PI >= PI
+        assert ExactScalar(355, 113) >= PI and not ExactScalar(355, 113) <= PI
+        assert Fraction(22, 7) >= PI and 3 <= PI and not 4 <= PI
+        assert ExactScalar(355, 113, -1) >= ExactScalar(1) and not ExactScalar(355, 113, -1) <= 1
+
+
+@pytest.mark.parametrize("e", [1, -1])
+def test_pi_multiple_is_correctly_rounded_for_integers_of_any_size(e):
+    from anglekit.exact import _pi_multiple
+
+    rng = random.Random(2403 + e)
+    for _ in range(300):
+        n = rng.getrandbits(rng.randint(1, 2000)) * rng.choice((-1, 1))
+        d = rng.getrandbits(rng.randint(1, 2000)) + 1
+        if not 2.0**-1000 < abs(Fraction(n, d)) < 2.0**1000:
+            continue
+        with mpmath.workprec(4200):
+            expected = float(mpmath.mpf(n) / d * mpmath.pi**e)
+        assert _pi_multiple(n, d, e) == expected, (n, d)

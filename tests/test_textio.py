@@ -354,6 +354,21 @@ class TestFormatAngle:
         angle = AngleValue(ExactScalar.inexact(12.25), DEGREE)
         assert format_angle(angle, "dms") == "12°15′0″"
 
+    @pytest.mark.parametrize(
+        "degrees, digits, expected",
+        [
+            (0.9999999999999, 3, "1°0′0″"),
+            (59.99999999999, 4, "60°0′0″"),
+            (-0.99999999999, 2, "-1°0′0″"),
+            (12.999999999999, 5, "13°0′0″"),
+            (12.49999999999, 3, "12°30′0″"),
+            (12.9999, 3, "12°59′59.6″"),
+        ],
+    )
+    def test_dms_inexact_seconds_that_round_to_sixty_carry(self, degrees, digits, expected):
+        angle = AngleValue(ExactScalar.inexact(degrees), DEGREE)
+        assert format_angle(angle, "dms", digits=digits) == expected
+
     def test_unknown_form(self):
         with pytest.raises(ValueError):
             format_angle(AngleValue(PI, RADIAN), "roman")

@@ -444,3 +444,73 @@ class TestLatestReduction:
         assert PeriodizedFunction("sin", ExactScalar(2))(0.5) == 1.0
         assert PeriodizedFunction("sin", ExactScalar(2, 1, 1))(0.5) == math.sin(0.5)
         assert len(calls) == 7
+
+
+def _negated(f, x):
+    """−f(x) as `eval_periodized` gives it for −x (an exact zero stays +0.0), or the error's name."""
+    try:
+        return (0.0 - f(x)).hex()
+    except DomainError as error:
+        return type(error).__name__
+
+
+POLE_PERIODS = (1, 360, 400, 21600, 1296000)
+
+
+class TestSymmetryAndPoles:
+    def test_sin_and_tan_odd_and_cos_even_bit_for_bit(self):
+        rng = random.Random(2404)
+        outcomes = set()
+        for period in BENCHMARK_PERIODS:
+            sin_f, cos_f, tan_f = (PeriodizedFunction(kind, period) for kind in FORWARD_KINDS)
+            p = period.to_float()
+            xs = [rng.uniform(-p, p) for _ in range(400)]
+            xs += [_log_uniform(rng, -1074, 996) for _ in range(400)]
+            xs += [p * rng.randint(-80, 80) / rng.choice((1, 4, 8, 12)) for _ in range(200)]
+            for x in xs:
+                for f in (sin_f, tan_f):
+                    outcome = _outcome(f, -x)
+                    assert outcome == _negated(f, x), (f, x)
+                    outcomes.add(outcome)
+                assert _outcome(cos_f, -x) == _outcome(cos_f, x), (period, x)
+        assert {"PoleError", "0x0.0p+0", "0x1.0000000000000p+0", "-0x1.0000000000000p+0"} <= outcomes
+
+    def test_small_negative_arguments_keep_their_value(self):
+        assert SIN_360(-30.0) == -0.5
+        assert SIN_2PI(-1e-20) == -1e-20
+        assert SIN_2PI(-0.0).hex() == "0x0.0p+0"
+        assert SIN_360(-360.0).hex() == "0x0.0p+0"
+
+    def test_every_representable_odd_quarter_is_a_pole(self):
+        rng = random.Random(2405)
+        for p in POLE_PERIODS:
+            tan_f = PeriodizedFunction("tan", ExactScalar(p))
+            ks = list(range(-20, 21)) + [10**15, -(10**15)]
+            ks += [rng.choice((-1, 1)) * rng.randint(0, 10 ** rng.randint(1, 15)) for _ in range(400)]
+            poles = 0
+            for k in ks:
+                for q in (1, 3):
+                    exact = Fraction(p * q, 4) + k * p
+                    if Fraction(float(exact)) != exact:
+                        continue
+                    poles += 1
+                    with pytest.raises(PoleError):
+                        tan_f(float(exact))
+            assert poles >= 300, p
+
+    def test_finite_at_least_a_billionth_of_a_period_from_every_odd_quarter(self):
+        rng = random.Random(2406)
+        for p in POLE_PERIODS:
+            tan_f = PeriodizedFunction("tan", ExactScalar(p))
+            checked = 0
+            for _ in range(500):
+                offset = rng.choice((-1, 1)) * 10 ** rng.uniform(-9, -0.7)
+                x = p * (rng.randint(-(10**6), 10**6) + rng.choice((0.25, 0.75)) + offset)
+                quarters = Fraction(x) * 4 / p  # odd integers are the poles
+                if abs(quarters % 2 - 1) < Fraction(4, 10**9):
+                    continue
+                checked += 1
+                assert math.isfinite(tan_f(x)), (p, x)
+            assert checked >= 450, p
+        # The former 1e-10 window on θ raised here.
+        assert TAN_360(90.000000001) == -57295719343.77307
