@@ -29,6 +29,7 @@ __all__ = [
 
 _DEGENERACY_THRESHOLD = 1e-12  # relative to the longer ray
 _DOWNSCALE = 2.0**-600
+_UPSCALE_BELOW = 2.0**-900  # |u|·|w| under which the rays are scaled up
 
 
 class PlanarPoint(Record):
@@ -73,6 +74,15 @@ def angle_from_points(p: PlanarPoint, vertex: PlanarPoint, q: PlanarPoint) -> Ma
     """
     ux, uy = p.x - vertex.x, p.y - vertex.y
     vx, vy = q.x - vertex.x, q.y - vertex.y
+    lu = math.hypot(ux, uy)
+    lv = math.hypot(vx, vy)
+    longer = max(lu, lv)
+    if lu * lv < _UPSCALE_BELOW:
+        # The products would underflow.  One power of two for both rays keeps
+        # the angle and the length ratios the two checks below read; ldexp,
+        # since 2.0 ** k overflows for the k that a subnormal ray needs.
+        k = -math.frexp(longer)[1]
+        ux, uy, vx, vy, lu, lv, longer = (math.ldexp(c, k) for c in (ux, uy, vx, vy, lu, lv, longer))
     cross = ux * vy - uy * vx
     dot = ux * vx + uy * vy
     if not (math.isfinite(cross) and math.isfinite(dot)):
@@ -81,9 +91,6 @@ def angle_from_points(p: PlanarPoint, vertex: PlanarPoint, q: PlanarPoint) -> Ma
         # coordinates far too small to move the result lose bits.
         scaled = (PlanarPoint(pt.x * _DOWNSCALE, pt.y * _DOWNSCALE) for pt in (p, vertex, q))
         return angle_from_points(*scaled)
-    lu = math.hypot(ux, uy)
-    lv = math.hypot(vx, vy)
-    longer = max(lu, lv)
     if min(lu, lv) <= _DEGENERACY_THRESHOLD * longer:
         raise DegenerateVertexError("ray endpoint coincides with the vertex")
     if abs(cross) <= _DEGENERACY_THRESHOLD * lu * lv and dot > 0.0:

@@ -32,7 +32,6 @@ from .textio import (
     _Deferred,
     _is_flat,
     parse_expression,
-    walk,
 )
 from .trig import FORWARD_KINDS, INVERSE_KINDS
 
@@ -98,113 +97,71 @@ def lint_text(text: str) -> list[LintFinding]:
 
 def _lint_line(line: str, line_number: int, declared: dict[str, str]) -> list[LintFinding]:
     excerpt = line.strip()
-    target = right = full = None
+    m = _STATEMENT_RE.match(line)
     try:
-        m = _STATEMENT_RE.match(line)
-        if m is not None:
-            declared[m.group("name")] = m.group("kw")
-            expr_text = m.group("expr")
-            if expr_text is not None:
-                offset = m.start("expr")
-                if not expr_text.strip():
-                    raise ParseError("missing right-hand side", offset)
-                if m.group("kw") == "length" and _is_flat(expr_text):
-                    return []  # no rule reads a length's value without a call ("(" fails the match)
-                right = full = parse_expression(expr_text, offset)
-                target = m.group("name")
-        elif declared.get(line.partition("=")[0].strip()) != "angle" and _is_flat(line):
-            return []  # nor a line with no call and no declared angle before its "="
+        if m is None:
+            text, offset, target = line, 0, line.partition("=")[0].strip()
         else:
-            full = parse_expression(line)
-            if (
-                isinstance(full, BinaryOperation)
-                and full.operator == "="
-                and isinstance(full.left, Identifier)
-            ):
-                target = full.left.name
-                right = full.right
+            text, offset, target = m.group("expr"), m.start("expr"), m.group("name")
+            declared[target] = m.group("kw")
+            if text is None:
+                return []
+            if not text.strip():
+                raise ParseError("missing right-hand side", offset)
+        if declared.get(target) != "angle" and _is_flat(text):
+            return []  # no rule reads a line with no call ("(" fails the match) and no angle target
+        side = parse_expression(text, offset)
     except ParseError as exc:
-        return [
-            LintFinding(None, line_number, exc.position + 1, exc.message, excerpt)
-        ]
-    found: list[LintFinding] = []
-    if full is not None and "(" in line:  # a FunctionApplication is a word and a "("
-        found.extend(_check_trig_arguments(full, line_number, excerpt))
-    if target is not None and declared.get(target) == "angle" and right is not None:
-        found.extend(_check_bare_number(right, line_number, excerpt))
-        found.extend(_check_length_quotient(right, line_number, excerpt, declared))
-    found.sort(key=lambda finding: finding.column)
-    return found
+        return [LintFinding(None, line_number, exc.position + 1, exc.message, excerpt)]
+    if m is None:
+        if isinstance(side, BinaryOperation) and side.operator == "=" and isinstance(side.left, Identifier):
+            target, side = side.left.name, side.right  # a lone name holds no trig call
+        else:
+            target = None
+    to_angle = declared.get(target) == "angle"
+    if not to_angle and "(" not in line:  # a FunctionApplication is a word and a "("
+        return []
+    return _rule_walk(side, to_angle, declared, line_number, excerpt)
 
 
-def _check_trig_arguments(
-    node: ExpressionNode, line_number: int, excerpt: str
+def _rule_walk(
+    side: ExpressionNode, to_angle: bool, declared: dict[str, str], line_number: int, excerpt: str
 ) -> list[LintFinding]:
-    """One finding per unit-bearing quantity inside a trig argument,
-    blamed on the innermost trig function around it."""
+    """Every rule's findings on a line's expression, in one preorder walk.
+
+    Preorder meets quantities in text order, and both assignment rules
+    need a side with no quantity, so the findings come out by column.
+    """
     found = []
-    stack = [(node, None)]  # each node with its innermost enclosing trig function
+    bare = True  # every node so far a number, or + * / of two
+    stack = [(side, None)]  # each node with its innermost enclosing trig function
     while stack:
-        sub, trig = stack.pop()
-        if isinstance(sub, BinaryOperation):
-            stack += ((sub.right, trig), (sub.left, trig))
-        elif isinstance(sub, FunctionApplication):
-            stack.append((sub.argument, sub.name if sub.name in TRIG_FUNCTIONS else trig))
-        elif isinstance(sub, QuantityLiteral) and trig is not None:
-            found.append(
-                LintFinding(
-                    RULE_RAD_IN_TRIG_ARG,
-                    line_number,
-                    sub.position + 1,
-                    f"argument of {trig}() carries the unit "
-                    f"'{sub.unit_text}'; pass the dimensionless measure",
-                    excerpt,
-                )
-            )
+        node, trig = stack.pop()
+        if isinstance(node, BinaryOperation):
+            stack += ((node.right, trig), (node.left, trig))
+            bare = bare and node.operator != "="
+        elif isinstance(node, FunctionApplication):
+            stack.append((node.argument, node.name if node.name in TRIG_FUNCTIONS else trig))
+            bare = False
+        elif not isinstance(node, NumberLiteral):
+            bare = False
+            if trig is not None and isinstance(node, QuantityLiteral):
+                message = (f"argument of {trig}() carries the unit '{node.unit_text}'; "
+                           "pass the dimensionless measure")
+                found.append(LintFinding(RULE_RAD_IN_TRIG_ARG, line_number, node.position + 1, message, excerpt))
+    if not to_angle:
+        return found
+    if bare:
+        message = "angle assignment from bare numbers; attach a reference symbol such as rad or °"
+        return [LintFinding(RULE_MISSING_REFERENCE_SYMBOL, line_number, side.position + 1, message, excerpt)]
+    if (
+        isinstance(side, BinaryOperation)
+        and side.operator == "/"
+        and isinstance(side.left, Identifier)
+        and isinstance(side.right, Identifier)
+        and declared.get(side.left.name) == declared.get(side.right.name) == "length"
+    ):
+        message = (f"'{side.left.name}/{side.right.name}' is a ratio of lengths, "
+                   "which is a dimensionless measure, not an angle value")
+        return [LintFinding(RULE_MAGNITUDE_AS_QUOTIENT, line_number, side.position + 1, message, excerpt)]
     return found
-
-
-def _check_bare_number(
-    right: ExpressionNode, line_number: int, excerpt: str
-) -> list[LintFinding]:
-    for sub in walk(right):
-        if isinstance(sub, NumberLiteral):
-            continue
-        if isinstance(sub, BinaryOperation) and sub.operator in ("+", "*", "/"):
-            continue
-        return []
-    return [
-        LintFinding(
-            RULE_MISSING_REFERENCE_SYMBOL,
-            line_number,
-            right.position + 1,
-            "angle assignment from bare numbers; attach a reference symbol "
-            "such as rad or °",
-            excerpt,
-        )
-    ]
-
-
-def _check_length_quotient(
-    right: ExpressionNode,
-    line_number: int,
-    excerpt: str,
-    declared: dict[str, str],
-) -> list[LintFinding]:
-    if not (isinstance(right, BinaryOperation) and right.operator == "/"):
-        return []
-    left, divisor = right.left, right.right
-    if not (isinstance(left, Identifier) and isinstance(divisor, Identifier)):
-        return []
-    if declared.get(left.name) != "length" or declared.get(divisor.name) != "length":
-        return []
-    return [
-        LintFinding(
-            RULE_MAGNITUDE_AS_QUOTIENT,
-            line_number,
-            right.position + 1,
-            f"'{left.name}/{divisor.name}' is a ratio of lengths, which is a "
-            "dimensionless measure, not an angle value",
-            excerpt,
-        )
-    ]

@@ -86,6 +86,11 @@ class TestReferences:
         assert ascii_symbol(ARCSECOND) == "arcsec"
         assert ascii_symbol(RADIAN) == "rad"
 
+    def test_str_is_the_symbol_after_the_value(self):
+        assert str(DEGREE) == "°"
+        assert str(AngleValue(ExactScalar(1, 2), DEGREE)) == "1/2 °"
+        assert str(Magnitude(Measure(ExactScalar(1, 4, 1)))) == "π/4"
+
     def test_custom_reference_validation(self):
         with pytest.raises(DomainError):
             ReferenceAngle("bad", "b", ExactScalar(0))

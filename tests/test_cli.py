@@ -220,6 +220,17 @@ class TestPoints:
         assert (code, err) == (0, "")
         assert float(out) == pytest.approx(math.pi / 4, rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "coords, angle",
+        [
+            (["1e-200", "0", "0", "0", "0", "1e-200"], "1.5707963267948966"),
+            (["3e-170", "1e-170", "0", "0", "1e-170", "3e-170"], "0.9272952180016123"),
+            (["5e-324", "0", "0", "0", "0", "5e-324"], "1.5707963267948966"),
+        ],
+    )
+    def test_short_rays_whose_products_underflow(self, run_cli, coords, angle):
+        assert run_cli("points", *coords) == (0, angle + "\n", "")
+
     def test_textual_coordinate(self, run_cli):
         code, _, _ = run_cli("points", "a", "0", "0", "0", "0", "1")
         assert code == 2
@@ -424,6 +435,13 @@ class TestUsageAndSafety:
         assert out == ""
         assert "internal error" in err
         assert "Traceback" not in err
+
+    def test_zero_division_maps_to_six(self, run_cli, monkeypatch):
+        def divide(args):
+            raise ZeroDivisionError("division by zero scalar")
+
+        monkeypatch.setattr("anglekit.cli._cmd_measure", divide)
+        assert run_cli("measure", "1 rad") == (6, "", "error: division by zero scalar\n")
 
     def test_errors_never_leak_tracebacks(self, run_cli):
         for argv in (

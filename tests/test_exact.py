@@ -322,6 +322,10 @@ class TestRender:
         assert format_float(1.0) == "1"
         assert float(format_float(0.1)) == 0.1
 
+    @pytest.mark.parametrize("digits", [1, 5, 16])
+    def test_format_float_of_non_finite_values_at_few_digits(self, digits):
+        assert [format_float(v, digits) for v in (math.inf, -math.inf, math.nan)] == ["inf", "-inf", "nan"]
+
 
 # ----------------------------------------------------------------------
 # properties
@@ -559,6 +563,10 @@ class TestReflectedOperatorsAndOrdering:
             1.5 / ExactScalar(1)
         assert ExactScalar(1).__rsub__(1.5) is NotImplemented
         assert ExactScalar(1).__rtruediv__(1.5) is NotImplemented
+        with pytest.raises(TypeError):
+            ExactScalar(1) - "x"
+        with pytest.raises(TypeError):
+            ExactScalar(1) / "x"
         with pytest.raises(ZeroDivisionError):
             1 / ZERO
 

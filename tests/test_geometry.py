@@ -270,11 +270,10 @@ class TestAngleFromPoints:
                 PlanarPoint(1e-13, 0.0), PlanarPoint(0.0, 0.0), PlanarPoint(1.0, 0.0)
             )
 
-    @pytest.mark.parametrize("exponent", [520, 1000, 1015])
-    def test_overflowing_products_give_the_unscaled_outcome(self, exponent):
-        """Scaled by 2^520 the cross and dot products overflow, by 2^1015 the
-        differences too; the angle (to 1 ulp, for libm's atan2) or the error
-        is the unscaled one."""
+    @staticmethod
+    def assert_unscaled_outcome(exponent):
+        """Scaled by 2^exponent, the angle (to 1 ulp, for libm's atan2) or the
+        error is the unscaled one."""
 
         def outcome(coords, scale):
             p, vertex, q = (PlanarPoint(x * scale, y * scale) for x, y in coords)
@@ -294,6 +293,18 @@ class TestAngleFromPoints:
                 assert abs(got - expected) <= math.ulp(expected), coords
             else:
                 assert got is expected, coords
+
+    @pytest.mark.parametrize("exponent", [520, 1000, 1015])
+    def test_overflowing_products_give_the_unscaled_outcome(self, exponent):
+        """Scaled by 2^520 the cross and dot products overflow, by 2^1015 the
+        differences too."""
+        self.assert_unscaled_outcome(exponent)
+
+    @pytest.mark.parametrize("exponent", [-520, -600, -1000])
+    def test_underflowing_products_give_the_unscaled_outcome(self, exponent):
+        """Scaled by 2^-520 the cross and dot products lose bits, by 2^-600
+        they underflow to 0, and by 2^-1000 the differences lose bits too."""
+        self.assert_unscaled_outcome(exponent)
 
     def test_non_finite_coordinates_rejected(self):
         with pytest.raises(DomainError):

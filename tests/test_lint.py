@@ -17,6 +17,16 @@ from anglekit.lint import (
     LintFinding,
     lint_text,
 )
+from anglekit.textio import (
+    BinaryOperation,
+    FunctionApplication,
+    Identifier,
+    NumberLiteral,
+    QuantityLiteral,
+    _is_flat,
+    parse_expression,
+    walk,
+)
 from anglekit.trig import FORWARD_KINDS, INVERSE_KINDS
 
 
@@ -140,9 +150,97 @@ def _corpus_line(rng):
     return f"{rng.choice(_CORPUS_NAMES)} = {_corpus_expression(rng)}"
 
 
+# ----------------------------------------------------------------------
+# the one rule walk against the three rule functions it replaced
+
+# _lint_line and its three rule functions as they were before one walk
+# decided all three rules, kept as the reference.
+def _reference_lint_line(line, line_number, declared):
+    excerpt = line.strip()
+    target = right = full = None
+    try:
+        m = lint._STATEMENT_RE.match(line)
+        if m is not None:
+            declared[m.group("name")] = m.group("kw")
+            expr_text = m.group("expr")
+            if expr_text is not None:
+                offset = m.start("expr")
+                if not expr_text.strip():
+                    raise ParseError("missing right-hand side", offset)
+                if m.group("kw") == "length" and _is_flat(expr_text):
+                    return []
+                right = full = parse_expression(expr_text, offset)
+                target = m.group("name")
+        elif declared.get(line.partition("=")[0].strip()) != "angle" and _is_flat(line):
+            return []
+        else:
+            full = parse_expression(line)
+            if isinstance(full, BinaryOperation) and full.operator == "=" and isinstance(full.left, Identifier):
+                target = full.left.name
+                right = full.right
+    except ParseError as exc:
+        return [LintFinding(None, line_number, exc.position + 1, exc.message, excerpt)]
+    found = []
+    if full is not None and "(" in line:
+        found.extend(_check_trig_arguments(full, line_number, excerpt))
+    if target is not None and declared.get(target) == "angle" and right is not None:
+        found.extend(_check_bare_number(right, line_number, excerpt))
+        found.extend(_check_length_quotient(right, line_number, excerpt, declared))
+    found.sort(key=lambda finding: finding.column)
+    return found
+
+
+def _check_trig_arguments(node, line_number, excerpt):
+    found = []
+    stack = [(node, None)]
+    while stack:
+        sub, trig = stack.pop()
+        if isinstance(sub, BinaryOperation):
+            stack += ((sub.right, trig), (sub.left, trig))
+        elif isinstance(sub, FunctionApplication):
+            stack.append((sub.argument, sub.name if sub.name in lint.TRIG_FUNCTIONS else trig))
+        elif isinstance(sub, QuantityLiteral) and trig is not None:
+            message = f"argument of {trig}() carries the unit '{sub.unit_text}'; pass the dimensionless measure"
+            found.append(LintFinding(RULE_RAD_IN_TRIG_ARG, line_number, sub.position + 1, message, excerpt))
+    return found
+
+
+def _check_bare_number(right, line_number, excerpt):
+    for sub in walk(right):
+        if isinstance(sub, NumberLiteral):
+            continue
+        if isinstance(sub, BinaryOperation) and sub.operator in ("+", "*", "/"):
+            continue
+        return []
+    message = "angle assignment from bare numbers; attach a reference symbol such as rad or °"
+    return [LintFinding(RULE_MISSING_REFERENCE_SYMBOL, line_number, right.position + 1, message, excerpt)]
+
+
+def _check_length_quotient(right, line_number, excerpt, declared):
+    if not (isinstance(right, BinaryOperation) and right.operator == "/"):
+        return []
+    left, divisor = right.left, right.right
+    if not (isinstance(left, Identifier) and isinstance(divisor, Identifier)):
+        return []
+    if declared.get(left.name) != "length" or declared.get(divisor.name) != "length":
+        return []
+    message = (
+        f"'{left.name}/{divisor.name}' is a ratio of lengths, which is a dimensionless measure, not an angle value"
+    )
+    return [LintFinding(RULE_MAGNITUDE_AS_QUOTIENT, line_number, right.position + 1, message, excerpt)]
+
+
+def _reference_lint_text(text):
+    declared, findings = {}, []
+    for line_number, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
+        if line.strip():
+            findings += _reference_lint_line(line, line_number, declared)
+    return findings
+
+
 def _lint_with_every_trig_walk(text):
-    """lint_text's findings, with the trig walk run on every line that parses."""
-    whole = lint_text(text)
+    """The reference's findings, with the trig walk run on every line that parses."""
+    whole = _reference_lint_text(text)
     expected = []
     for line_number, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
@@ -151,23 +249,26 @@ def _lint_with_every_trig_walk(text):
         try:
             m = lint._STATEMENT_RE.match(line)
             if m is None:
-                full = lint.parse_expression(line)
+                full = parse_expression(line)
             elif m.group("expr") is not None and m.group("expr").strip():
-                full = lint.parse_expression(m.group("expr"), m.start("expr"))
+                full = parse_expression(m.group("expr"), m.start("expr"))
             else:
                 full = None
         except ParseError:
             full = None
-        trig = [] if full is None else lint._check_trig_arguments(full, line_number, line.strip())
+        trig = [] if full is None else _check_trig_arguments(full, line_number, line.strip())
         expected += sorted(trig + others, key=lambda finding: finding.column)
     return expected
 
 
-def test_lines_without_a_call_lose_no_trig_finding():
+def _corpus_files():
     rng = random.Random(20261019)
+    return [[_corpus_line(rng) for _ in range(20)] for _ in range(150)]
+
+
+def test_lines_without_a_call_lose_no_trig_finding():
     lines_without_a_call = trig_findings = 0
-    for _ in range(150):
-        lines = [_corpus_line(rng) for _ in range(20)]
+    for lines in _corpus_files():
         text = "\n".join(lines)
         findings = lint_text(text)
         assert findings == _lint_with_every_trig_walk(text)
@@ -175,6 +276,65 @@ def test_lines_without_a_call_lose_no_trig_finding():
         trig_findings += sum(f.rule == RULE_RAD_IN_TRIG_ARG for f in findings)
     assert lines_without_a_call > 1000
     assert trig_findings > 300
+
+
+def _statement_file(rng):
+    """Declarations, quantities, bare chains, length quotients, nested trig
+    calls, stray characters and unclosed groups, in the shapes of the
+    generated statement files that anglebench lints."""
+    angles, lengths, lines = ["a0"], ["s0", "s1"], ["angle a0", "length s0", "length s1"]
+
+    def number():
+        return rng.choice(("2", "0.5", "12.25", "3π/4", "pi", "1e3", "7"))
+
+    def chain(operands):
+        return " ".join(f"{rng.choice(operands)} {rng.choice('+*/')}" for _ in range(rng.randint(0, 6))) + " 9"
+
+    for k in range(40):
+        roll, name = rng.random(), f"n{k}"
+        if roll < 0.1:
+            kind = rng.choice(("angle", "length"))
+            (angles if kind == "angle" else lengths).append(name)
+            lines.append(f"{kind} {name}")
+        elif roll < 0.2:
+            angles.append(name)
+            lines.append(f"angle {name} = {number()} {rng.choice(('rad', 'deg', 'gon', 'turn'))}")
+        elif roll < 0.35:
+            head = rng.choice((f"{rng.choice(angles)} = ", f"angle {name} = ", f"length {name} = ", f"y{k} = "))
+            lines.append(head + chain([number()] * 3 + ["12°", rng.choice(angles + lengths)]))
+        elif roll < 0.5:
+            left, right = rng.choice(lengths + angles[:1]), rng.choice(lengths + ["x"])
+            body = rng.choice((f"{left} / {right}", f"({left} / {right})", f"{left} / {right} * 2", f"{left}/{right}"))
+            lines.append(rng.choice((f"angle {name} = ", f"{rng.choice(angles)} = ", "y = ")) + body)
+        elif roll < 0.75:
+            calls = []
+            for _ in range(rng.randint(1, 3)):
+                inner = rng.choice((f"{number()} {rng.choice(('rad', 'deg'))}", f"{number()}°", number(), angles[-1]))
+                for _ in range(rng.randint(1, 3)):
+                    inner = f"{rng.choice(('sin', 'cos', 'tan', 'arcsin', 'exp'))}({inner} + {number()})"
+                calls.append(inner)
+            head = rng.choice((f"y{k} = ", f"{rng.choice(angles)} = ", f"angle {name} = ", ""))
+            lines.append(head + " + ".join(calls))
+        elif roll < 0.85:
+            lines.append(f"y{k} = {number()} + {rng.choice('$?#@')} {number()}")
+        else:
+            lines.append(rng.choice((
+                f"y{k} = ({number()} + {number()}", f"{rng.choice(angles)} = sin({number()} rad",
+                f"angle {name} = {number()} = {number()}",  # the statement's "=" is not the expression's
+            )))
+    return "\n".join(lines)
+
+
+def test_one_walk_agrees_with_the_three_rule_functions():
+    texts = ["\n".join(lines) for lines in _corpus_files()]
+    rng = random.Random(25)
+    texts += [_statement_file(rng) for _ in range(150)]
+    rules = set()
+    for text in texts:
+        findings = lint_text(text)
+        assert findings == _reference_lint_text(text), text
+        rules.update(f.rule for f in findings)
+    assert rules == {None, RULE_RAD_IN_TRIG_ARG, RULE_MISSING_REFERENCE_SYMBOL, RULE_MAGNITUDE_AS_QUOTIENT}
 
 
 class TestMissingReferenceRule:

@@ -316,6 +316,11 @@ class TestFormatAngle:
         with pytest.raises(UnsupportedFormError):
             format_angle(AngleValue(PI, RADIAN), "dms")
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_dms_rejects_an_infinite_inexact_value(self, value):
+        with pytest.raises(UnsupportedFormError, match="non-finite"):
+            format_angle(AngleValue(ExactScalar.inexact(value), DEGREE), "dms")
+
     def test_dms_rejects_non_terminating_seconds(self):
         with pytest.raises(UnsupportedFormError):
             format_angle(AngleValue(ExactScalar(1, 7), DEGREE), "dms")
