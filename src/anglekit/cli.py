@@ -237,7 +237,7 @@ def _cmd_lint(args) -> int:
         else:
             with open(args.path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or bytes that are not UTF-8
         raise ParseError(f"cannot read {args.path!r}: {exc}") from None
     findings = lint_text(text)
     for finding in findings:

@@ -3,7 +3,7 @@
 Accepted angle literals (leading/trailing whitespace allowed):
 
     number    := decimal | fraction | pi-form
-    decimal   := digits ["." digits] [("e"|"E") [sign] digits]
+    decimal   := [sign] digits ["." digits] [("e"|"E") [sign] digits]
     fraction  := [sign] integer "/" posint
     pi-form   := [sign] [coefficient] ("π"|"pi") ["/" posint]
                | [sign] integer "/" "(" [posint] ("π"|"pi") ")"
@@ -22,7 +22,8 @@ recovers the identical value.
 The expression language used by the linter shares the number syntax but
 treats "/" strictly as an operator; it adds identifiers, "+", "*", "=",
 parentheses, function application (sin, cos, tan, arcsin, arccos, exp),
-and quantities (a number immediately followed by a unit).
+and quantities (a number immediately followed by a unit).  A sign opens
+a number only at the start or after + * / = (; "-" is no operator.
 """
 
 from __future__ import annotations
@@ -652,7 +653,7 @@ def walk(node: ExpressionNode):
 
 # A token is a tuple (kind, text, position, value).  kind is the
 # operator itself for + * / = ( ), else NUMBER, WORD, UNIT or END;
-# value is the ExactScalar of a NUMBER the character loop read, else None.
+# value is the ExactScalar of a NUMBER the scanner read, else None.
 
 
 class _Deferred:
@@ -666,13 +667,17 @@ class _Deferred:
         return getattr(compiled, attribute)
 
 
-_WORD_RE = _Deferred(globals(), "_WORD_RE", r"[A-Za-z_][A-Za-z0-9_]*")
-# Plain decimals of at most 15 digits and words other than pi, as the findall and _FLAT_RE read them.
+# Plain decimals of at most 15 digits and words other than pi, as _FLAT_RE reads them.
 _PLAIN = r"(?=[0-9.]{1,16}(?![0-9.]))[0-9]{1,15}(?:\.[0-9]{1,14})?(?![0-9.eEp])(?!π)"
 _NAME = r"(?!pi(?![A-Za-z_]))[A-Za-z_][A-Za-z0-9_]*"
-# One findall reads leading spaces, then tokens, each with the spaces after it: _PLAIN, _NAME,
-# * / = ( ), unit symbols (a class of their own compiles faster) and "+" before a space.
-_LINE_RE = _Deferred(globals(), "_LINE_RE", rf"\s+|(?:{_PLAIN}|{_NAME}|[*/=()]|[°′″]|\+(?=\s))\s*")
+# π, or pi before no letter, "_" or numeral.  _match_pi also takes pi before a numeral that is no
+# letter (², ½): parse_expression then skips the word "pi" read here, and refuses the numeral.
+_PI = r"(?:π|pi(?![^\W\d]))"
+# One findall reads a line.  Group 1: spaces, or a token and the spaces after it: a plain decimal
+# (no \d goes on), a word, * / = ( ), a unit symbol (a class of its own compiles faster) or "+"
+# before a space.  Group 2: any other number, as _scan_number reads it.  Neither: one character.
+_LINE_RE = _Deferred(globals(), "_LINE_RE", rf"(\s+|(?:{_PLAIN}(?!\d)|(?!{_PI})[A-Za-z_][A-Za-z0-9_]*|[*/=()]"
+                     rf"|[°′″]|\+(?=\s))\s*)|(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?{_PI}?|{_PI})|.")
 # Operands (a _PLAIN with an optional unit, or a _NAME), each before + * / = and another, or the end.
 # An operand ends in one place only, so the possessive "++" of Python 3.11 matches the same texts
 # and keeps no backtracking state: a 100,000-term line needs a few kB, not 79 MB.
@@ -681,57 +686,6 @@ _FLAT_RE = _Deferred(
     globals(), "_FLAT_RE", rf"(?:{_OPERAND}(?:[+*/=](?=\s*\S)|\Z))+" + "+" * (sys.version_info >= (3, 11)))
 _KINDS = dict.fromkeys(_UNIT_SYMBOLS, "UNIT") | {  # a part's kind by its first character; None for spaces
     c: "NUMBER" if c.isdigit() else "WORD" if c.isidentifier() else c for c in map(chr, range(33, 127))}
-
-
-def _lex(text: str, offset: int) -> list[tuple]:
-    tokens: list[tuple] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        position = offset + i
-        if ch in "+-":
-            nxt = i + 1
-            sign_opens_number = (
-                nxt < n
-                and (
-                    text[nxt].isdigit()
-                    or (text[nxt] in "pπ" and _match_pi(text, nxt) is not None)
-                )
-                and (not tokens or tokens[-1][0] in "+*/=(")
-            )
-            if not sign_opens_number:
-                if ch == "+":
-                    tokens.append(("+", ch, position, None))
-                    i += 1
-                    continue
-                raise ParseError("unexpected character '-'", position)
-        elif not (ch.isdigit() or (ch in "pπ" and _match_pi(text, i) is not None)):
-            if ch in "*/=()":
-                tokens.append((ch, ch, position, None))
-                i += 1
-                continue
-            if ch in _UNIT_SYMBOLS:
-                tokens.append(("UNIT", ch, position, None))
-                i += 1
-                continue
-            m = _WORD_RE.match(text, i)
-            if m is not None:
-                tokens.append(("WORD", m.group(), position, None))
-                i = m.end()
-                continue
-            raise ParseError(f"unexpected character {ch!r}", position)
-        try:
-            value, _, end = _scan_number(text, i, allow_slash=False)
-        except ParseError as exc:
-            exc.position += offset  # _scan_number counts from the start of text
-            raise
-        tokens.append(("NUMBER", text[i:end], position, value))
-        i = end
-    tokens.append(("END", "", offset + n, None))
-    return tokens
 
 
 def _parse_tokens(tokens: list[tuple]) -> ExpressionNode:
@@ -823,21 +777,45 @@ def _parse_tokens(tokens: list[tuple]) -> ExpressionNode:
 
 
 def parse_expression(text: str, offset: int = 0) -> ExpressionNode:
-    """Parse one expression; positions are absolute (offset + local)."""
-    parts = _LINE_RE.findall(text)
-    if len("".join(parts)) == len(text):  # no gap between matches; else the character loop reads it
-        tokens, position, kind_of = [], offset, _KINDS.get
-        for part in parts:
+    """Parse one expression; positions are absolute (offset + local).
+
+    _scan_number reads every number but a plain decimal, so its errors
+    and positions are the literal reader's.
+    """
+    tokens, position, kind_of = [], offset, _KINDS.get
+    parts = iter(_LINE_RE.findall(text))
+    for part, number in parts:
+        if part:
             kind = kind_of(part[0])
             if kind is not None:
                 tokens.append((kind, part.rstrip(), position, None))
             position += len(part)
-        del parts  # the tokens hold their own text; free the matches before parsing
-        tokens.append(("END", "", position, None))
-    else:
-        tokens = _lex(text, offset)
-    if tokens[0][0] == "END":
+            continue
+        i = position - offset
+        if not number:  # a caught character: a sign, the operator "+", or an error
+            ch = text[i]
+            j = i + (ch in "+-")  # where a number would start
+            if not (text[j:j + 1].isdigit() or _match_pi(text, j) is not None) or (
+                j > i and tokens and tokens[-1][0] not in "+*/=("
+            ):
+                if ch != "+":
+                    raise ParseError(f"unexpected character {ch!r}", position)
+                tokens.append(("+", ch, position, None))
+                position += 1
+                continue
+        try:
+            value, _, end = _scan_number(text, i, allow_slash=False)
+        except ParseError as exc:
+            exc.position += offset  # _scan_number counts from the start of text
+            raise
+        tokens.append(("NUMBER", text[i:end], position, value))
+        position += len(number) or 1
+        while position < offset + end:  # past a sign: the digits, and a "pi" read as a word
+            part, number = next(parts)
+            position += len(part or number) or 1
+    if not tokens:
         raise ParseError("empty expression", offset)
+    tokens.append(("END", "", position, None))
     return _parse_tokens(tokens)
 
 

@@ -658,6 +658,10 @@ def test_unreadable_lint_file_transcript(run_cli, tmp_path):
     assert run_cli("lint", path) == (2, "", expected)
 
 
+def test_lint_path_with_a_null_byte_transcript(run_cli):
+    assert run_cli("lint", "\x00") == (2, "", "error: cannot read '\\x00': embedded null byte\n")
+
+
 def test_undecodable_lint_file_transcript(run_cli, tmp_path):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"angle a = 1\xff\n")

@@ -338,7 +338,7 @@ def test_importing_the_cli_compiles_no_deferred_pattern():
         "compiled, compile = [], re.compile\n"
         "re.compile = lambda pattern, flags=0: compiled.append(pattern) or compile(pattern, flags)\n"
         "from anglekit import cli, lint, textio\n"
-        "deferred = [textio._LINE_RE, textio._WORD_RE, textio._FLAT_RE, lint._STATEMENT_RE]\n"
+        "deferred = [textio._LINE_RE, textio._FLAT_RE, lint._STATEMENT_RE]\n"
         "print(textio._LITERAL_RE.pattern in compiled)\n"  # the hook sees the eager patterns
         "print([p for p in [*(d.pattern for d in deferred), cli._SIGNED_OPERAND] if p in compiled])\n"
         "textio.parse_expression('x')\n"

@@ -40,7 +40,9 @@ from anglekit.textio import (
     NumberLiteral,
     QuantityLiteral,
     _keep_digits,
+    _match_pi,
     _new,
+    _scan_number,
     _set_number,
     _set_position,
     _set_quantity,
@@ -972,10 +974,77 @@ def test_a_long_decimal_is_read_by_one_match(monkeypatch, text):
 # ----------------------------------------------------------------------
 # the one-findall lexer against the character loop
 
-# Pieces around what the findall must leave to the loop: a sign (also
-# before a digit that str.isdigit knows but \d does not), separators that
-# str.isspace knows, pi as a word and as π, and digit runs at, just past
-# and far past the 15 digits of a plain decimal.
+# The character-by-character lexer that the one findall replaced, kept
+# as the reference: it reads a token at a time and decides each sign by
+# the token before it.
+_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_UNIT_SYMBOLS = "°′″"
+
+
+def _lex(text: str, offset: int) -> list[tuple]:
+    tokens: list[tuple] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        position = offset + i
+        if ch in "+-":
+            nxt = i + 1
+            sign_opens_number = (
+                nxt < n
+                and (
+                    text[nxt].isdigit()
+                    or (text[nxt] in "pπ" and _match_pi(text, nxt) is not None)
+                )
+                and (not tokens or tokens[-1][0] in "+*/=(")
+            )
+            if not sign_opens_number:
+                if ch == "+":
+                    tokens.append(("+", ch, position, None))
+                    i += 1
+                    continue
+                raise ParseError("unexpected character '-'", position)
+        elif not (ch.isdigit() or (ch in "pπ" and _match_pi(text, i) is not None)):
+            if ch in "*/=()":
+                tokens.append((ch, ch, position, None))
+                i += 1
+                continue
+            if ch in _UNIT_SYMBOLS:
+                tokens.append(("UNIT", ch, position, None))
+                i += 1
+                continue
+            m = _WORD_RE.match(text, i)
+            if m is not None:
+                tokens.append(("WORD", m.group(), position, None))
+                i = m.end()
+                continue
+            raise ParseError(f"unexpected character {ch!r}", position)
+        try:
+            value, _, end = _scan_number(text, i, allow_slash=False)
+        except ParseError as exc:
+            exc.position += offset  # _scan_number counts from the start of text
+            raise
+        tokens.append(("NUMBER", text[i:end], position, value))
+        i = end
+    tokens.append(("END", "", offset + n, None))
+    return tokens
+
+
+def _lexed_expression(text: str, offset: int = 0) -> ExpressionNode:
+    """parse_expression as it was with the character loop for a lexer."""
+    tokens = _lex(text, offset)
+    if tokens[0][0] == "END":
+        raise ParseError("empty expression", offset)
+    return textio._parse_tokens(tokens)
+
+
+# Pieces around what the findall's token alternatives leave to the
+# scanner or catch alone: a sign (also before a digit that str.isdigit
+# knows but \d does not), separators that str.isspace knows, pi as a word
+# and as π, and digit runs at, just past and far past the 15 digits of a
+# plain decimal.
 _LEXER_TRAPS = (
     "+²", "+５", "-²", "٣", "５", "²", "\x1c", "\u2028", "\u3000", "\xa0", "pi_", "pi2", "pi", "π", "piα", "pix",
     "+ ", "+", "-", "1+2", "*-", "/+", "=-", "(+", "(-", "++", "+\t", "+\u2028", "+π", "+pi", "+.5", ".",
@@ -1008,30 +1077,45 @@ def _lexer_text(rng):
     return "".join(parts)
 
 
-def _expression_outcomes(texts):
-    return [
-        _golden_outcome(lambda t: parse_expression(t, index % 4), text) for index, text in enumerate(texts)
-    ]
+def _expression_outcomes(parse, texts):
+    return [_golden_outcome(lambda t: parse(t, index % 4), text) for index, text in enumerate(texts)]
 
 
-def test_one_findall_lexer_agrees_with_the_character_loop(monkeypatch):
+def _tokens_alone(text):
+    """Whether the findall reads text with token alternatives alone: no number to scan, no caught character."""
+    return all(part for part, _ in textio._LINE_RE.findall(text))
+
+
+def test_one_findall_lexer_agrees_with_the_character_loop():
     rng = random.Random(19)
     texts = _golden_corpus() + [_lexer_text(rng) for _ in range(100_000)]
-    looped = []
-    lex = textio._lex
+    # the comparison means something only if many texts took the token alternatives alone, and many did not
+    alone = len([text for text in texts if _tokens_alone(text)])
+    assert len(texts) // 4 < alone < len(texts) - len(texts) // 4
+    assert _expression_outcomes(parse_expression, texts) == _expression_outcomes(_lexed_expression, texts)
 
-    def counted_lex(*args):
-        looped.append(args)
-        return lex(*args)
 
-    monkeypatch.setattr(textio, "_lex", counted_lex)
-    fast = _expression_outcomes(texts)
-    # the comparison means something only if many texts took the findall
-    assert len(texts) - len(looped) > len(texts) // 4
-    monkeypatch.setattr(textio, "_LINE_RE", _NEVER)
-    looped.clear()
-    assert _expression_outcomes(texts) == fast
-    assert len(looped) == len([text for text in texts if text])  # "" has no gap to leave
+@pytest.mark.parametrize(
+    "text,outcome",
+    [
+        pytest.param("1 +5", [("BinaryOperation", 2, "+"), ("NumberLiteral", 0, (1, 1, 0)),
+                              ("NumberLiteral", 3, (5, 1, 0))], id="a sign after an operand is the operator"),
+        pytest.param("1 -5", ("ParseError", "unexpected character '-'", 2), id="minus is no operator"),
+        pytest.param("(-π", ("ParseError", "expected ')'", 3), id="a sign after ( opens a number"),
+        pytest.param("+²", ("ParseError", "expected a number", 0), id="a sign before any digit opens a number"),
+        pytest.param("pi2", ("ParseError", "unexpected trailing text", 2), id="pi before a digit is π"),
+        pytest.param("piα", ("ParseError", "unexpected character 'α'", 2), id="pi before any letter is a word"),
+        pytest.param("pi²", ("ParseError", "expected a number", 2), id="pi before a numeral that is no letter is π"),
+        pytest.param("3.25٣′", [("QuantityLiteral", 0, (3253, 1000, 0), "arcminute", "′")],
+                     id="a decimal goes on through any decimal digit"),
+        pytest.param("1e5x", ("ParseError", "unexpected trailing text", 3), id="a word starts where an exponent ends"),
+        pytest.param("x\u2028+\u2028y", [("BinaryOperation", 2, "+"), ("Identifier", 0, "x"), ("Identifier", 4, "y")],
+                     id="plus before any space is the operator"),
+    ],
+)
+def test_the_lexer_reads_signs_and_pi_as_the_character_loop_did(text, outcome):
+    assert _golden_outcome(parse_expression, text) == outcome
+    assert _golden_outcome(_lexed_expression, text) == outcome
 
 
 def _lint_statement(rng, index):
@@ -1056,15 +1140,15 @@ def _lint_statement(rng, index):
 def test_most_statement_lines_take_the_one_findall(monkeypatch):
     rng = random.Random(19)
     files = ["\n".join(_lint_statement(rng, i) for i in range(rng.randint(5, 60))) for _ in range(50)]
-    calls, looped = [], []
-    parse, lex = lint.parse_expression, textio._lex
-    monkeypatch.setattr(lint, "parse_expression", lambda *args: calls.append(args) or parse(*args))
-    monkeypatch.setattr(textio, "_lex", lambda *args: looped.append(args) or lex(*args))
+    calls = []
+    parse = lint.parse_expression
+    monkeypatch.setattr(lint, "parse_expression", lambda *args: calls.append(args[0]) or parse(*args))
     monkeypatch.setattr(textio, "_FLAT_RE", _NEVER)  # count over every line, as if none were flat
     fast = [lint.lint_text(text) for text in files]
+    looped = [text for text in calls if not _tokens_alone(text)]
     assert len(calls) > 1_000 and len(looped) < len(calls) // 10
     monkeypatch.undo()
-    monkeypatch.setattr(textio, "_LINE_RE", _NEVER)
+    monkeypatch.setattr(lint, "parse_expression", _lexed_expression)
     assert [lint.lint_text(text) for text in files] == fast
 
 
@@ -1310,15 +1394,8 @@ def test_re_and_str_agree_on_whitespace():
 
 
 @pytest.mark.parametrize("space", ["\x1c", "\x85", "\u2028", "\u3000"], ids=repr)
-def test_unicode_spaces_after_tokens_take_the_one_findall(monkeypatch, space):
+def test_unicode_spaces_after_tokens_take_the_one_findall(space):
     pieces = ("12", "°", "+", "x", "*", "sin", "(", "0.5", "rad", ")", "/", "3", "′", "=", "y")
     texts = [space.join(pieces), space + space.join(pieces) + space * 2, "a" + space + "=" + space + "7" + space]
-
-    def no_loop(*args):
-        raise AssertionError("the character loop read the line")
-
-    monkeypatch.setattr(textio, "_lex", no_loop)
-    fast = [parse_expression(text, 3) for text in texts]
-    monkeypatch.undo()
-    monkeypatch.setattr(textio, "_LINE_RE", _NEVER)
-    assert [parse_expression(text, 3) for text in texts] == fast
+    assert all(_tokens_alone(text) for text in texts)
+    assert [parse_expression(text, 3) for text in texts] == [_lexed_expression(text, 3) for text in texts]
