@@ -59,6 +59,8 @@ TRIG_FUNCTIONS = frozenset(FORWARD_KINDS + INVERSE_KINDS)
 
 _STATEMENT_RE = _Deferred(globals(), "_STATEMENT_RE",
                           r"^\s*(?P<kw>angle|length)\s+(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*(?:=\s*(?P<expr>.*))?$")
+# In a flat side, any other character is a name's, a unit's or an "=" at the root: the side is not bare.
+_NAME_OR_UNIT_RE = _Deferred(globals(), "_NAME_OR_UNIT_RE", r"[^0-9.+*/\s]")
 
 
 class LintFinding(Record):
@@ -108,8 +110,19 @@ def _lint_line(line: str, line_number: int, declared: dict[str, str]) -> list[Li
                 return []
             if not text.strip():
                 raise ParseError("missing right-hand side", offset)
-        if declared.get(target) != "angle" and _is_flat(text):
-            return []  # no rule reads a line with no call ("(" fails the match) and no angle target
+        if _is_flat(text):  # no call ("(" fails the match): the assignment rules are all that apply
+            if declared.get(target) != "angle":
+                return []
+            if m is None:
+                offset = line.find("=") + 1  # 0 for a lone name, which is neither bare nor a quotient
+            side = line[offset:]
+            # The side's root: its last "+", else its last "*" or "/", else its operand, which starts first.
+            at = side.rfind("+")
+            at = at if at >= 0 else max(side.rfind("*"), side.rfind("/"), len(side) - len(side.lstrip()))
+            left, _, right = side.partition("/")
+            bare = _NAME_OR_UNIT_RE.search(side) is None
+            column = offset + at + 1
+            return _assignment_rule(bare, left.strip(), right.strip(), declared, line_number, column, excerpt)
         side = parse_expression(text, offset)
     except ParseError as exc:
         return [LintFinding(None, line_number, exc.position + 1, exc.message, excerpt)]
@@ -151,17 +164,20 @@ def _rule_walk(
                 found.append(LintFinding(RULE_RAD_IN_TRIG_ARG, line_number, node.position + 1, message, excerpt))
     if not to_angle:
         return found
+    left = right = ""
+    if isinstance(side, BinaryOperation) and side.operator == "/":
+        left, right = (node.name if isinstance(node, Identifier) else "" for node in (side.left, side.right))
+    return _assignment_rule(bare, left, right, declared, line_number, side.position + 1, excerpt) or found
+
+
+def _assignment_rule(
+    bare: bool, left: str, right: str, declared: dict[str, str], line_number: int, column: int, excerpt: str
+) -> list[LintFinding]:
+    """The finding an angle's side draws at its root: bare numbers, or the quotient of lengths left/right."""
     if bare:
         message = "angle assignment from bare numbers; attach a reference symbol such as rad or °"
-        return [LintFinding(RULE_MISSING_REFERENCE_SYMBOL, line_number, side.position + 1, message, excerpt)]
-    if (
-        isinstance(side, BinaryOperation)
-        and side.operator == "/"
-        and isinstance(side.left, Identifier)
-        and isinstance(side.right, Identifier)
-        and declared.get(side.left.name) == declared.get(side.right.name) == "length"
-    ):
-        message = (f"'{side.left.name}/{side.right.name}' is a ratio of lengths, "
-                   "which is a dimensionless measure, not an angle value")
-        return [LintFinding(RULE_MAGNITUDE_AS_QUOTIENT, line_number, side.position + 1, message, excerpt)]
-    return found
+        return [LintFinding(RULE_MISSING_REFERENCE_SYMBOL, line_number, column, message, excerpt)]
+    if declared.get(left) == declared.get(right) == "length":
+        message = f"'{left}/{right}' is a ratio of lengths, which is a dimensionless measure, not an angle value"
+        return [LintFinding(RULE_MAGNITUDE_AS_QUOTIENT, line_number, column, message, excerpt)]
+    return []

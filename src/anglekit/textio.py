@@ -76,14 +76,27 @@ OUTSIDE_FLOAT_RANGE = "number is outside float range"
 _EXACT_DIGIT_LIMIT = 15
 _MAX_NESTING = 100
 
-_DECIMAL_RE = re.compile(r"\d+(?:\.(\d+))?(?:[eE][+-]?\d+)?")
-_DIGITS_RE = re.compile(r"\d+")
+
+class _Deferred:
+    """A pattern compiled on first use into the global that held it: import compiles none of them."""
+
+    def __init__(self, namespace: dict, name: str, pattern: str):
+        self.namespace, self.name, self.pattern = namespace, name, pattern
+
+    def __getattr__(self, attribute: str):
+        compiled = self.namespace[self.name] = re.compile(self.pattern)
+        return getattr(compiled, attribute)
+
+
+_DECIMAL_RE = _Deferred(globals(), "_DECIMAL_RE", r"\d+(?:\.(\d+))?(?:[eE][+-]?\d+)?")
+_DIGITS_RE = _Deferred(globals(), "_DIGITS_RE", r"\d+")
 
 # One match reads a whole well-formed literal: sexagesimal, with the
 # groups _dms_value reads, or a sign, n[.f][π[/d]], n/d[π], n/π or
 # n/([d]π), and a unit.  No unit word follows "pi": pi glued to a letter
 # is a word, not π.
-_LITERAL_RE = re.compile(
+_LITERAL_RE = _Deferred(
+    globals(), "_LITERAL_RE",
     r"\s*(?:(?P<sign>[+-])?(?P<deg>\d+)[°d](?:(?P<min>\d+)[′m](?:(?P<sec>\d+(?:\.\d+)?)[″s])?)?"
     r"|([+-]?)(\d+)(?:(?:\.(\d+))?(?:(π|pi)(?:/(\d+))?)?|/(?:(\d+)(π|pi)?|(π|pi|\((\d*)(?:π|pi)\))))"
     r"\s*((?<!pi)[A-Za-z]+|[°′″]))\s*\Z"
@@ -654,18 +667,6 @@ def walk(node: ExpressionNode):
 # A token is a tuple (kind, text, position, value).  kind is the
 # operator itself for + * / = ( ), else NUMBER, WORD, UNIT or END;
 # value is the ExactScalar of a NUMBER the scanner read, else None.
-
-
-class _Deferred:
-    """A pattern compiled on first use into the global that held it: import pays for none of lint's."""
-
-    def __init__(self, namespace: dict, name: str, pattern: str):
-        self.namespace, self.name, self.pattern = namespace, name, pattern
-
-    def __getattr__(self, attribute: str):
-        compiled = self.namespace[self.name] = re.compile(self.pattern)
-        return getattr(compiled, attribute)
-
 
 # Plain decimals of at most 15 digits and words other than pi, as _FLAT_RE reads them.
 _PLAIN = r"(?=[0-9.]{1,16}(?![0-9.]))[0-9]{1,15}(?:\.[0-9]{1,14})?(?![0-9.eEp])(?!π)"

@@ -337,6 +337,52 @@ def test_one_walk_agrees_with_the_three_rule_functions():
     assert rules == {None, RULE_RAD_IN_TRIG_ARG, RULE_MISSING_REFERENCE_SYMBOL, RULE_MAGNITUDE_AS_QUOTIENT}
 
 
+_ANGLES_AND_LENGTHS = "angle a0\nangle pi\nangle pi2\nangle pi_x\nangle rad\nlength s0\nlength s1\nlength s2\n"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        # targets spelled like π or a unit ("pi" and "pi2" are π to the parser, so no flat match)
+        "pi_x = 2 + 3", "rad = 2 * 3", "pi = 2 + 3", "pi2 = 2 + 3",
+        "angle pi_x = 1.5", "angle pi = 1.5", "angle pi2 = 4 / 2", "angle rad = rad",
+        # a lone name, and sides whose root is their own "="
+        "a0", "  pi_x  ", "angle a = b = 3", "angle a = 3 = 4", "angle a = s0 / s1 = 3", "a0 = b = 3",
+        # one operand, and the root of * and / chains
+        "a0 = 3", "a0 =    12.25", "angle a = 7  ", "a0 = 2 * 3 * 4", "a0 = 8 / 2 / 2", "a0 = 2 * 3 / 4 * 5",
+        "a0 = 1 + 2 * 3 + 4 / 5", "a0 = 1 * 2 + 3",
+        # quotients of lengths, and near misses
+        "a0 = s0/s1", "a0 = s0 / s1 / s2", "a0 = s0 / x", "a0 = s0 / a0", "angle q = s1 / s0", "a0 = s0 * s1",
+        "a0 = 2 * s0 / s1", "a0 = s0 / s1 + 0", "a0 = s0 / s1 * 2",
+        # units and names in the side
+        "a0 = 3 rad", "a0 = 2 * 3 deg", "a0 = 90°", "a0 = x + 1", "a0 = rad",
+        # Unicode spaces around operators
+        "a0\xa0=\xa01\xa0+\u20282", "a0 = s0\u2028/\xa0s1", "angle a\u2028=\xa012 *\u20283",
+        # decimals at the edges of the flat match
+        "a0 = 123456789012345", "a0 = 1234567890123456", "a0 = 0.12345678901234", "a0 = 12.", "a0 = .5",
+        "a0 = 12. + .5",
+    ],
+    ids=repr,
+)
+def test_flat_lines_assigned_to_angles_agree_with_the_reference(line):
+    text = _ANGLES_AND_LENGTHS + line
+    assert lint_text(text) == _reference_lint_text(text)
+
+
+def test_flat_lines_assigned_to_angles_build_no_tree(monkeypatch):
+    text = "length s0\nlength s1\nangle a = 1 + 2 * 3\na = s0 / s1\nangle b = 2 rad * x\nb = s0 / x"
+    expected = _reference_lint_text(text)
+    assert [(f.rule, f.line) for f in expected] == [(RULE_MISSING_REFERENCE_SYMBOL, 3), (RULE_MAGNITUDE_AS_QUOTIENT, 4)]
+
+    def refuse(*args):
+        raise LookupError("built a tree")
+
+    monkeypatch.setattr(lint, "parse_expression", refuse)
+    assert lint_text(text) == expected
+    with pytest.raises(LookupError, match="built a tree"):
+        lint_text("angle a = sin(1)")
+
+
 class TestMissingReferenceRule:
     def test_bare_pi(self):
         findings = lint_text("angle a = pi")

@@ -332,15 +332,22 @@ def test_the_cli_imports_no_heavy_standard_modules():
 
 
 def test_importing_the_cli_compiles_no_deferred_pattern():
-    """Patterns only lint, `parse_expression` and argparse read compile on first use."""
+    """No anglekit module compiles a pattern at import: each compiles on its first use."""
     child = (
-        "import re\n"
+        "import re, sys\n"
         "compiled, compile = [], re.compile\n"
-        "re.compile = lambda pattern, flags=0: compiled.append(pattern) or compile(pattern, flags)\n"
+        "def hook(pattern, flags=0):\n"
+        "    compiled.append((pattern, sys._getframe(1).f_globals['__name__']))\n"
+        "    return compile(pattern, flags)\n"
+        "re.compile = hook\n"
         "from anglekit import cli, lint, textio\n"
-        "deferred = [textio._LINE_RE, textio._FLAT_RE, lint._STATEMENT_RE]\n"
-        "print(textio._LITERAL_RE.pattern in compiled)\n"  # the hook sees the eager patterns
-        "print([p for p in [*(d.pattern for d in deferred), cli._SIGNED_OPERAND] if p in compiled])\n"
+        "deferred = [textio._LINE_RE, textio._FLAT_RE, textio._DECIMAL_RE, textio._DIGITS_RE, textio._LITERAL_RE,\n"
+        "            lint._STATEMENT_RE, lint._NAME_OR_UNIT_RE]\n"
+        "patterns = [*(d.pattern for d in deferred), cli._SIGNED_OPERAND]\n"
+        "print([p for p, _ in compiled if p in patterns])\n"
+        "print([m for _, m in compiled if m.startswith('anglekit')])\n"
+        "textio.parse_angle('1 rad')\n"  # the hook sees a deferred pattern compile on first use
+        "print((textio._LITERAL_RE.pattern, 'anglekit.textio') in compiled)\n"
         "textio.parse_expression('x')\n"
         "print(isinstance(textio._LINE_RE, re.Pattern))\n"
     )
@@ -348,7 +355,7 @@ def test_importing_the_cli_compiles_no_deferred_pattern():
     result = subprocess.run(
         [sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.split() == ["True", "[]", "True"]
+    assert result.stdout.split() == ["[]", "[]", "True", "True"]
 
 
 def test_fractions_loaded_after_anglekit_still_mix_with_exact_scalars():
