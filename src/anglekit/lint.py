@@ -29,6 +29,7 @@ from .textio import (
     Identifier,
     NumberLiteral,
     QuantityLiteral,
+    _NAME,
     _Deferred,
     _is_flat,
     parse_expression,
@@ -57,8 +58,9 @@ ALL_RULES = (
 
 TRIG_FUNCTIONS = frozenset(FORWARD_KINDS + INVERSE_KINDS)
 
+# A declared name is one the expressions read as a name: "pi" before no letter is π there, so not declarable.
 _STATEMENT_RE = _Deferred(globals(), "_STATEMENT_RE",
-                          r"^\s*(?P<kw>angle|length)\s+(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*(?:=\s*(?P<expr>.*))?$")
+                          rf"^\s*(?P<kw>angle|length)\s+(?P<name>{_NAME})\s*(?:=\s*(?P<expr>.*))?$")
 # In a flat side, any other character is a name's, a unit's or an "=" at the root: the side is not bare.
 _NAME_OR_UNIT_RE = _Deferred(globals(), "_NAME_OR_UNIT_RE", r"[^0-9.+*/\s]")
 

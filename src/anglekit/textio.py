@@ -5,11 +5,16 @@ Accepted angle literals (leading/trailing whitespace allowed):
     number    := decimal | fraction | pi-form
     decimal   := [sign] digits ["." digits] [("e"|"E") [sign] digits]
     fraction  := [sign] integer "/" posint
-    pi-form   := [sign] [coefficient] ("π"|"pi") ["/" posint]
+    pi-form   := [sign] [decimal] ("π"|"pi") ["/" posint]
+               | [sign] integer "/" posint ("π"|"pi")
                | [sign] integer "/" "(" [posint] ("π"|"pi") ")"
                | [sign] integer "/" ("π"|"pi")
     angle     := number unit | dms
     dms       := [sign] digits ("°"|"d") [digits ("′"|"m") [decimal ("″"|"s")]]
+
+One pattern, _NUMBER, reads every number, and one builder, _number,
+gives its value or words its error: parse_number, the one match of
+parse_angle and the expression lexer all read numbers with them.
 
 Units answer to their symbol or name: rad/radian, °/deg/degree, gon,
 turn, ′/arcmin/arcminute, ″/arcsec/arcsecond.
@@ -88,18 +93,29 @@ class _Deferred:
         return getattr(compiled, attribute)
 
 
-_DECIMAL_RE = _Deferred(globals(), "_DECIMAL_RE", r"\d+(?:\.(\d+))?(?:[eE][+-]?\d+)?")
-_DIGITS_RE = _Deferred(globals(), "_DIGITS_RE", r"\d+")
+# The number grammar, one piece each.  A decimal is n[.f][e±x].  π is "π", or
+# "pi" before no ASCII letter or "_"; re has no class for str.isalpha, so
+# _match_number re-reads a number whose "pi" runs into any other letter.  An
+# optional part is spelled (?:x|), not (?:x)?: re runs the empty branch faster.
+_DECIMAL = r"\d+(?:\.\d+|)(?:[eE][+-]?\d+|)"
+_PI = r"(?:π|pi(?![A-Za-z_]))"
+# A sign, then n[.f][e±x]π[/d], π[/d], n/d[π], n/π, n/([d]π) or n[.f][e±x].  The
+# malformed tails n/, π/ and n/(d without π or ")" match too, as does nothing
+# at all, so that _number words each error.  Groups: 1 sign, 2 decimal, 3 π and
+# 4 its d, 5 d after "/" and 6 its π, 7 anything else after "/", 8 and 9 the
+# d and π of "(dπ)".
+_NUMBER = (
+    rf"([+-]?)(?:({_DECIMAL})|)(?:({_PI})(?:/(\d*)|)"
+    rf"|/(?:(\d+)(?:({_PI})|)|(\((\d*)(?:({_PI}(?:\)|))|)|{_PI}|))|)"
+)
+_NUMBER_RE = _Deferred(globals(), "_NUMBER_RE", r"\s*" + _NUMBER)
 
-# One match reads a whole well-formed literal: sexagesimal, with the
-# groups _dms_value reads, or a sign, n[.f][π[/d]], n/d[π], n/π or
-# n/([d]π), and a unit.  No unit word follows "pi": pi glued to a letter
-# is a word, not π.
+# One match reads a whole literal: sexagesimal, with the groups _dms_value
+# reads, or a number and a unit.
 _LITERAL_RE = _Deferred(
     globals(), "_LITERAL_RE",
-    r"\s*(?:(?P<sign>[+-])?(?P<deg>\d+)[°d](?:(?P<min>\d+)[′m](?:(?P<sec>\d+(?:\.\d+)?)[″s])?)?"
-    r"|([+-]?)(\d+)(?:(?:\.(\d+))?(?:(π|pi)(?:/(\d+))?)?|/(?:(\d+)(π|pi)?|(π|pi|\((\d*)(?:π|pi)\))))"
-    r"\s*((?<!pi)[A-Za-z]+|[°′″]))\s*\Z"
+    r"\s*(?:(?:(?P<sign>[+-])|)(?P<deg>\d+)[°d](?:(?P<min>\d+)[′m](?:(?P<sec>\d+(?:\.\d+|))[″s]|)|)"
+    rf"|{_NUMBER}\s*([A-Za-z]+|[°′″]))\s*\Z"
 )
 
 _UNIT_SYMBOLS = tuple(token for token in _ALIASES if not token.isalpha())  # °′″
@@ -121,34 +137,19 @@ class AngleLiteral(Record):
 
 
 def _skip_space(text: str, i: int) -> int:
-    n = len(text)
-    while i < n and text[i].isspace():
-        i += 1
-    return i
+    return len(text) - len(text[i:].lstrip())
 
 
-def _match_pi(text: str, i: int) -> int | None:
-    """End offset of a π token at i, or None."""
-    if text.startswith("π", i):
-        return i + 1
-    if text.startswith("pi", i):
-        end = i + 2
-        if end < len(text) and (text[end].isalpha() or text[end] == "_"):
-            return None
-        return end
-    return None
-
-
-def _digits_to_int(digits: str, position: int) -> int:
-    """int(digits), with a digit run past int's conversion limit rejected."""
+def _digits_to_int(digits: str, m: re.Match, group: int | str) -> int:
+    """int(digits), with a digit run past int's conversion limit rejected at the group."""
     try:
         return int(digits)
     except ValueError:
-        raise ParseError("integer has too many digits", position) from None
+        raise ParseError("integer has too many digits", m.start(group)) from None
 
 
-def _decimal_ratio(text: str, position: int) -> tuple[int, int] | float:
-    """A decimal literal as an exact (numerator, denominator), or a float.
+def _decimal_ratio(text: str, position: int) -> tuple[int, int] | tuple[float, int]:
+    """A decimal literal as an exact (numerator, denominator), or as (a float, 1).
 
     At most 15 significant digits (trailing fractional zeros stripped
     first) guarantee an exact in-range rational; anything longer, or
@@ -178,103 +179,105 @@ def _decimal_ratio(text: str, position: int) -> tuple[int, int] | float:
     approx = float(text)
     if not math.isfinite(approx):
         raise ParseError(OUTSIDE_FLOAT_RANGE, position)
-    return approx
+    return approx, 1
+
+
+def _match_number(text: str, i: int, allow_slash: bool = True) -> re.Match:
+    """_NUMBER_RE's match at i, ended before a "pi" that runs into a letter past ASCII.
+
+    With allow_slash false it also ends before a "/", so the match reads
+    what it would if "/" were no part of the grammar.
+    """
+    m = _NUMBER_RE.match(text, i)
+    if not allow_slash:
+        slash = text.find("/", i, m.end())
+        if slash >= 0:
+            m = _NUMBER_RE.match(text, i, slash)
+    pi_at = text.find("pi", i, m.end())
+    if pi_at >= 0 and text[pi_at + 2:pi_at + 3].isalpha():
+        m = _NUMBER_RE.match(text, i, pi_at)
+    return m
 
 
 def _scan_number(
     text: str, i: int, allow_slash: bool = True
 ) -> tuple[ExactScalar, bool, int]:
-    """Scan one number at offset i.
+    """Read one number at offset i, after any spaces: (value, saw_pi, end).
 
-    Returns (value, saw_pi, end).  With allow_slash false the "/" forms
-    are left untouched for an enclosing expression parser.
+    With allow_slash false the "/" forms are left untouched for an
+    enclosing expression parser.
     """
-    start = i
-    sign = 1
-    if i < len(text) and text[i] in "+-":
-        sign = -1 if text[i] == "-" else 1
-        i += 1
-    pi_end = _match_pi(text, i)
-    if pi_end is not None:
-        denominator, i = 1, pi_end
-        if allow_slash and text.startswith("/", i):
-            denominator, i = _scan_posint(text, i + 1)
-        return _exact_or_error(sign, denominator, 1, start), True, i
-    m = _DECIMAL_RE.match(text, i)
-    if m is None:
-        raise ParseError("expected a number", start)
-    coefficient_text = m.group()
-    i = m.end()
-    plain_integer = coefficient_text.isdigit()
-    pi_end = _match_pi(text, i)
-    if pi_end is not None:
-        coefficient = _decimal_ratio(coefficient_text, start)
-        denominator, i = 1, pi_end
-        if allow_slash and text.startswith("/", i):
-            denominator, i = _scan_posint(text, i + 1)
-            error = overflow_error(denominator, 1)  # past 64 bits on its own
-            if error is not None:
-                raise ParseError(str(error), start)
-        if isinstance(coefficient, float):
-            return ExactScalar.inexact(sign * coefficient * math.pi / denominator), True, i
-        numerator, scale = coefficient
-        return _exact_or_error(sign * numerator, scale * denominator, 1, start), True, i
-    if allow_slash and text.startswith("/", i):
-        after = i + 1
-        if not plain_integer:
-            raise ParseError("fraction numerator must be an integer", start)
-        numerator = sign * _digits_to_int(coefficient_text, start)
-        pi_end = _match_pi(text, after)
-        if pi_end is not None:
-            # n/π
-            return _exact_or_error(numerator, 1, -1, start), True, pi_end
-        if text.startswith("(", after):
-            j = after + 1
-            dm = _DIGITS_RE.match(text, j)
-            denominator = 1
-            if dm is not None:
-                denominator = _digits_to_int(dm.group(), start)
-                j = dm.end()
-            pi_end = _match_pi(text, j)
-            if pi_end is None:
-                raise ParseError("expected π in parenthesized denominator", j)
-            j = pi_end
-            if not text.startswith(")", j):
-                raise ParseError("expected ')'", j)
-            return _exact_or_error(numerator, denominator, -1, start), True, j + 1
-        if after < len(text) and text[after].isdigit():
-            denominator, j = _scan_posint(text, after)
-            pi_end = _match_pi(text, j)
-            if pi_end is not None:
-                # n/dπ reads as (n/d)·π
-                return _exact_or_error(numerator, denominator, 1, start), True, pi_end
-            return _exact_or_error(numerator, denominator, 0, start), False, j
-        raise ParseError("expected a denominator", after)
-    value = _decimal_ratio(coefficient_text, start)
-    if isinstance(value, float):
-        return ExactScalar.inexact(sign * value), False, i
-    return ExactScalar(sign * value[0], value[1]), False, i
+    m = _match_number(text, i, allow_slash)
+    value, saw_pi = _number(m.groups(), m, 1)
+    return value, saw_pi, m.end()
 
 
-def _scan_posint(text: str, i: int) -> tuple[int, int]:
-    m = _DIGITS_RE.match(text, i)
-    if m is None:
-        raise ParseError("expected a positive integer", i)
-    value = _digits_to_int(m.group(), i)
-    if value == 0:
-        raise ParseError("denominator must be positive", i)
-    return value, m.end()
+def _number(groups: tuple, m: re.Match, first: int) -> tuple[ExactScalar, bool]:
+    """The value of a number match and whether it holds π, or the ParseError of a malformed one.
+
+    groups are _NUMBER's nine, the sign being m's group `first`.  A
+    position is looked up only to raise.
+    """
+    sign, decimal, pi, pi_den, den, den_pi, inverse, paren_den, paren_pi = groups
+    if decimal is None and pi is None:
+        start = m.start(first)
+        raise ParseError("expected a number" if start < len(m.string) else "empty input", start)
+    if den is None and inverse is None:  # n[.f][e±x], π, or both; π may take a "/d"
+        power = 0 if pi is None else 1
+        if decimal is None:
+            numerator = denominator = 1
+        else:
+            whole, _, frac = decimal.partition(".")
+            digits = whole + frac
+            if len(digits) <= _EXACT_DIGIT_LIMIT and digits.isdigit():  # no exponent: exact
+                numerator, denominator = int(digits), 10 ** len(frac)
+            else:
+                numerator, denominator = _decimal_ratio(decimal, m.start(first))
+        if pi_den is not None:
+            divisor = _positive(pi_den, m, first + 3)
+            if decimal is not None:  # after a coefficient, d past 64 bits is worded alone
+                error = overflow_error(divisor, 1)
+                if error is not None:
+                    raise ParseError(str(error), m.start(first))
+            denominator *= divisor
+        if isinstance(numerator, float):
+            if sign == "-":
+                numerator = -numerator
+            return ExactScalar.inexact(numerator * math.pi / denominator if power else numerator), power != 0
+    else:  # n/d[π], n/π, n/([d]π), or n/ and no denominator
+        if not decimal.isdigit():
+            raise ParseError("fraction numerator must be an integer", m.start(first))
+        numerator, denominator, power = _digits_to_int(decimal, m, first), 1, -1
+        if den is not None:
+            denominator, power = _positive(den, m, first + 4), 0 if den_pi is None else 1
+        elif not inverse:
+            after = m.end(first + 6)
+            digit = m.string[after:after + 1].isdigit()  # a numeral \d does not match
+            raise ParseError("expected a positive integer" if digit else "expected a denominator", after)
+        elif paren_den is not None:  # the d of "(dπ)" is worded at the number's start, as the numerator is
+            if paren_den:
+                denominator = _digits_to_int(paren_den, m, first)
+            if paren_pi is None or paren_pi[-1] != ")":
+                message = "expected ')'" if paren_pi else "expected π in parenthesized denominator"
+                raise ParseError(message, m.end(first + 6))
+    if sign == "-":
+        numerator = -numerator
+    if denominator:
+        try:
+            return ExactScalar(numerator, denominator, power), power != 0
+        except ExactOverflowError as exc:
+            raise ParseError(str(exc), m.start(first)) from None
+    raise ParseError("denominator must be positive", m.start(first))
 
 
-def _exact_or_error(
-    numerator: int, denominator: int, exponent: int, position: int
-) -> ExactScalar:
-    if denominator == 0:
-        raise ParseError("denominator must be positive", position)
-    try:
-        return ExactScalar(numerator, denominator, exponent)
-    except ExactOverflowError as exc:
-        raise ParseError(str(exc), position) from None
+def _positive(digits: str, m: re.Match, group: int) -> int:
+    """A denominator's digits as a positive int, or the ParseError at the group."""
+    if not digits:
+        raise ParseError("expected a positive integer", m.start(group))
+    value = _digits_to_int(digits, m, group)
+    if value:
+        return value
+    raise ParseError("denominator must be positive", m.start(group))
 
 
 # ----------------------------------------------------------------------
@@ -283,10 +286,7 @@ def _exact_or_error(
 
 def parse_number(text: str) -> ExactScalar:
     """Parse a bare number (no unit)."""
-    i = _skip_space(text, 0)
-    if i == len(text):
-        raise ParseError("empty input", i)
-    value, _, i = _scan_number(text, i)
+    value, _, i = _scan_number(text, 0)
     i = _skip_space(text, i)
     if i != len(text):
         raise ParseError("unexpected trailing text", i)
@@ -296,50 +296,24 @@ def parse_number(text: str) -> ExactScalar:
 def parse_angle(text: str) -> AngleLiteral:
     """Parse an angle literal: a number with a unit, or a sexagesimal form.
 
-    One match of _LITERAL_RE reads a well-formed literal; the general
-    scanner reads the rest and words every error.
+    One match of _LITERAL_RE reads a literal, and _number gives its
+    value; text the match does not read is scanned again to word the error.
     """
     m = _LITERAL_RE.match(text)
     if m is not None:
-        _, deg, _, _, sign, digits, frac, pi, pi_den, den, den_pi, inverse, paren_den, unit = m.groups("")
-        if deg:
+        groups = m.groups()  # 0-3 sexagesimal, 4-12 a number (group 5 its sign), 13 a unit
+        if groups[1] is not None:
             return AngleLiteral(text, _dms_value(m), "dms")
-        if not (pi or den or inverse) and len(digits) + len(frac) > _EXACT_DIGIT_LIMIT and unit in _ALIASES:
-            ratio = _decimal_ratio(f"{digits}.{frac}", m.start(5))  # a long decimal: exact or a float
-            value = ExactScalar.inexact(ratio) if isinstance(ratio, float) else ExactScalar(*ratio)
-            return AngleLiteral(text, AngleValue(-value if sign == "-" else value, _ALIASES[unit]), "decimal")
-        places = 0
-        if den:  # n/d or n/dπ
-            exponent = 1 if den_pi else 0
-        elif inverse:  # n/π or n/([d]π)
-            den, exponent = paren_den, -1
-        else:  # n[.f] or n[.f]π[/d]
-            digits, places, den, exponent = digits + frac, len(frac), pi_den, 1 if pi else 0
-        den = den or "1"
-        reference = _ALIASES.get(unit)
-        # Past these digit counts the scanner words the error or degrades
-        # to a float; a zero denominator or the 64-bit bound goes there too.
-        if reference is not None and len(digits) <= _EXACT_DIGIT_LIMIT and len(den) <= 18:
-            denominator = int(den) * 10**places
-            if denominator:
-                try:
-                    value = ExactScalar(-int(digits) if sign == "-" else int(digits), denominator, exponent)
-                except ExactOverflowError:
-                    pass
-                else:
-                    form = "symbolic_pi" if exponent else "decimal"
-                    return AngleLiteral(text, AngleValue(value, reference), form)
-    i = _skip_space(text, 0)
-    if i == len(text):
-        raise ParseError("empty input", i)
-    value, saw_pi, i = _scan_number(text, i)
-    i = _skip_space(text, i)
-    reference, i = _scan_unit(text, i)
+        reference = _ALIASES.get(groups[13])
+        if reference is not None:
+            value, saw_pi = _number(groups[4:13], m, 5)
+            return AngleLiteral(text, AngleValue(value, reference), "symbolic_pi" if saw_pi else "decimal")
+    value, saw_pi, i = _scan_number(text, 0)
+    reference, i = _scan_unit(text, _skip_space(text, i))
     i = _skip_space(text, i)
     if i != len(text):
         raise ParseError("unexpected trailing text", i)
-    form = "symbolic_pi" if saw_pi else "decimal"
-    return AngleLiteral(text, AngleValue(value, reference), form)
+    return AngleLiteral(text, AngleValue(value, reference), "symbolic_pi" if saw_pi else "decimal")
 
 
 def _scan_unit(text: str, i: int) -> tuple[ReferenceAngle, int]:
@@ -357,17 +331,17 @@ def _scan_unit(text: str, i: int) -> tuple[ReferenceAngle, int]:
 
 def _dms_value(m: re.Match) -> AngleValue:
     sign = -1 if m.group("sign") == "-" else 1
-    degrees = _digits_to_int(m.group("deg"), m.start("deg"))
-    minutes = _digits_to_int(m.group("min") or "0", m.start("min"))
+    degrees = _digits_to_int(m.group("deg"), m, "deg")
+    minutes = _digits_to_int(m.group("min") or "0", m, "min")
     seconds_text = m.group("sec")
-    seconds = _decimal_ratio(seconds_text, m.start("sec")) if seconds_text else (0, 1)
-    if not isinstance(seconds, float):
-        sn, sd = seconds
+    sn, sd = _decimal_ratio(seconds_text, m.start("sec")) if seconds_text else (0, 1)
+    if not isinstance(sn, float):
         try:
             value = ExactScalar(sign * ((degrees * 60 + minutes) * 60 * sd + sn), 3600 * sd)
             return AngleValue(value, DEGREE)
         except ExactOverflowError:
-            seconds = sn / sd
+            pass
+    seconds = sn / sd
     try:
         approx = sign * (degrees + minutes / 60.0 + seconds / 3600.0)
     except OverflowError:  # degrees past float range
@@ -670,15 +644,16 @@ def walk(node: ExpressionNode):
 
 # Plain decimals of at most 15 digits and words other than pi, as _FLAT_RE reads them.
 _PLAIN = r"(?=[0-9.]{1,16}(?![0-9.]))[0-9]{1,15}(?:\.[0-9]{1,14})?(?![0-9.eEp])(?!π)"
-_NAME = r"(?!pi(?![A-Za-z_]))[A-Za-z_][A-Za-z0-9_]*"
-# π, or pi before no letter, "_" or numeral.  _match_pi also takes pi before a numeral that is no
-# letter (², ½): parse_expression then skips the word "pi" read here, and refuses the numeral.
-_PI = r"(?:π|pi(?![^\W\d]))"
+_NAME = rf"(?!{_PI})[A-Za-z_][A-Za-z0-9_]*"
+# Where a word ends: at π, or at pi before no letter, "_" or numeral.  A number's _PI also takes pi
+# before a numeral that is no letter (², ½): parse_expression then skips the word "pi" read here,
+# and refuses the numeral.
+_WORD_PI = r"(?:π|pi(?![^\W\d]))"
 # One findall reads a line.  Group 1: spaces, or a token and the spaces after it: a plain decimal
 # (no \d goes on), a word, * / = ( ), a unit symbol (a class of its own compiles faster) or "+"
 # before a space.  Group 2: any other number, as _scan_number reads it.  Neither: one character.
-_LINE_RE = _Deferred(globals(), "_LINE_RE", rf"(\s+|(?:{_PLAIN}(?!\d)|(?!{_PI})[A-Za-z_][A-Za-z0-9_]*|[*/=()]"
-                     rf"|[°′″]|\+(?=\s))\s*)|(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?{_PI}?|{_PI})|.")
+_LINE_RE = _Deferred(globals(), "_LINE_RE", rf"(\s+|(?:{_PLAIN}(?!\d)|(?!{_WORD_PI})[A-Za-z_][A-Za-z0-9_]*|[*/=()]"
+                     rf"|[°′″]|\+(?=\s))\s*)|({_DECIMAL}{_WORD_PI}?|{_WORD_PI})|.")
 # Operands (a _PLAIN with an optional unit, or a _NAME), each before + * / = and another, or the end.
 # An operand ends in one place only, so the possessive "++" of Python 3.11 matches the same texts
 # and keeps no backtracking state: a 100,000-term line needs a few kB, not 79 MB.
@@ -795,10 +770,9 @@ def parse_expression(text: str, offset: int = 0) -> ExpressionNode:
         i = position - offset
         if not number:  # a caught character: a sign, the operator "+", or an error
             ch = text[i]
-            j = i + (ch in "+-")  # where a number would start
-            if not (text[j:j + 1].isdigit() or _match_pi(text, j) is not None) or (
-                j > i and tokens and tokens[-1][0] not in "+*/=("
-            ):
+            j = i + (ch in "+-")  # where a number would start: at a digit, or at π as a number reads it
+            opens = text[j:j + 1].isdigit() or _match_number(text, j, allow_slash=False).start(3) == j
+            if not opens or (j > i and tokens and tokens[-1][0] not in "+*/=("):
                 if ch != "+":
                     raise ParseError(f"unexpected character {ch!r}", position)
                 tokens.append(("+", ch, position, None))

@@ -457,6 +457,22 @@ class TestStatementsAndSyntax:
         assert findings[0].line == 1
         assert findings[0].column == 11
 
+    @pytest.mark.parametrize(
+        "declaration, findings",
+        [
+            # "pi" before no letter is π to the expressions: a syntax finding at the name, which declares nothing
+            ("angle pi", [(None, 1, 7)]),
+            ("length pi = 2", [(None, 1, 8)]),
+            ("angle pi2 = 3 rad", [(None, 1, 7), (None, 2, 3)]),
+            # names
+            ("angle pi_x = 3 rad", [(RULE_MISSING_REFERENCE_SYMBOL, 2, 10)]),
+            ("angle pix", [(RULE_MISSING_REFERENCE_SYMBOL, 2, 9)]),
+        ],
+    )
+    def test_a_name_the_expressions_read_as_pi_is_not_declared(self, declaration, findings):
+        name = declaration.split()[1]
+        assert [(f.rule, f.line, f.column) for f in lint_text(f"{declaration}\n{name} = 2 + 3")] == findings
+
     def test_missing_rhs(self):
         findings = lint_text("angle a = ")
         assert len(findings) == 1

@@ -332,30 +332,38 @@ def test_the_cli_imports_no_heavy_standard_modules():
 
 
 def test_importing_the_cli_compiles_no_deferred_pattern():
-    """No anglekit module compiles a pattern at import: each compiles on its first use."""
+    """No anglekit module compiles a pattern at import, and each deferred one compiles on its first use.
+
+    The deferred patterns are found in the modules' globals, so one that a
+    new path adds is checked too, and a typo in a pattern only an error
+    path reads fails here rather than in a user's hands.
+    """
     child = (
-        "import re, sys\n"
+        "import importlib, pkgutil, re, sys\n"
         "compiled, compile = [], re.compile\n"
         "def hook(pattern, flags=0):\n"
-        "    compiled.append((pattern, sys._getframe(1).f_globals['__name__']))\n"
+        "    compiled.append(sys._getframe(1).f_globals['__name__'])\n"
         "    return compile(pattern, flags)\n"
         "re.compile = hook\n"
-        "from anglekit import cli, lint, textio\n"
-        "deferred = [textio._LINE_RE, textio._FLAT_RE, textio._DECIMAL_RE, textio._DIGITS_RE, textio._LITERAL_RE,\n"
-        "            lint._STATEMENT_RE, lint._NAME_OR_UNIT_RE]\n"
-        "patterns = [*(d.pattern for d in deferred), cli._SIGNED_OPERAND]\n"
-        "print([p for p, _ in compiled if p in patterns])\n"
-        "print([m for _, m in compiled if m.startswith('anglekit')])\n"
-        "textio.parse_angle('1 rad')\n"  # the hook sees a deferred pattern compile on first use
-        "print((textio._LITERAL_RE.pattern, 'anglekit.textio') in compiled)\n"
-        "textio.parse_expression('x')\n"
-        "print(isinstance(textio._LINE_RE, re.Pattern))\n"
+        "import anglekit\n"
+        "modules = [importlib.import_module('anglekit.' + m.name) for m in pkgutil.iter_modules(anglekit.__path__)]\n"
+        "from anglekit.textio import _Deferred\n"
+        "print([name for name in compiled if name.startswith('anglekit')])\n"
+        "deferred = [(m, k) for m in modules for k, v in vars(m).items() if isinstance(v, _Deferred)]\n"
+        "for module, name in deferred:\n"
+        "    getattr(module, name).groups\n"  # the first use compiles it into the global
+        "print(sorted(f'{m.__name__}.{k}' for m, k in deferred if isinstance(getattr(m, k), re.Pattern)))\n"
+        "print(compiled.count('anglekit.textio') >= len(deferred) > 0)\n"  # the hook saw each compile
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
         [sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.split() == ["[]", "[]", "True", "True"]
+    at_import, deferred, hooked = result.stdout.splitlines()
+    assert at_import == "[]"
+    assert hooked == "True"
+    assert {"anglekit.textio._NUMBER_RE", "anglekit.textio._LITERAL_RE", "anglekit.lint._STATEMENT_RE"} <= set(
+        ast.literal_eval(deferred))
 
 
 def test_fractions_loaded_after_anglekit_still_mix_with_exact_scalars():

@@ -23,13 +23,14 @@ from anglekit.angles import (
     ReferenceAngle,
 )
 from anglekit.errors import (
+    ExactOverflowError,
     MissingUnitError,
     ParseError,
     UnknownUnitError,
     UnsupportedFormError,
 )
 from anglekit import lint, textio
-from anglekit.exact import PI, ExactScalar
+from anglekit.exact import PI, ExactScalar, overflow_error
 from anglekit.textio import (
     _MAX_NESTING,
     FUNCTION_NAMES,
@@ -40,9 +41,7 @@ from anglekit.textio import (
     NumberLiteral,
     QuantityLiteral,
     _keep_digits,
-    _match_pi,
     _new,
-    _scan_number,
     _set_number,
     _set_position,
     _set_quantity,
@@ -657,7 +656,7 @@ def _golden_outcome(parse, text):
         return (type(exc).__name__, exc.message, exc.position)
     if isinstance(result, ExactScalar):
         return _golden_scalar(result)
-    if parse is parse_angle:
+    if isinstance(result, textio.AngleLiteral):
         return (result.form, _golden_field(result.parsed))
     return [
         (type(node).__name__,)
@@ -668,6 +667,10 @@ def _golden_outcome(parse, text):
         )
         for node in walk(result)
     ]
+
+
+def _is_error(outcome):
+    return isinstance(outcome, tuple) and isinstance(outcome[0], str) and outcome[0].endswith("Error")
 
 
 # sha256 of every outcome of parse_number, parse_angle and parse_expression
@@ -847,9 +850,180 @@ def test_a_literal_builds_one_scalar(monkeypatch, text):
 
 
 # ----------------------------------------------------------------------
-# the one-match literal reader against the general scanner
+# the number grammar against the character scanner it replaced
 
-_NEVER = re.compile(r"(?!)")  # with this as _LITERAL_RE, parse_angle is the scanner alone
+# The character scanner that _NUMBER_RE and _number replaced, kept as the
+# reference: _scan_number read a number a character at a time, with
+# _DECIMAL_RE for a decimal, _match_pi for π and _scan_posint for a
+# denominator, and parse_angle read any literal but a sexagesimal one
+# with it alone.
+_DECIMAL_RE = re.compile(r"\d+(?:\.(\d+))?(?:[eE][+-]?\d+)?")
+_DIGITS_RE = re.compile(r"\d+")
+_DMS_RE = re.compile(r"\s*(?P<sign>[+-])?(?P<deg>\d+)[°d](?:(?P<min>\d+)[′m](?:(?P<sec>\d+(?:\.\d+)?)[″s])?)?\s*\Z")
+
+
+def _skip_space(text, i):
+    while i < len(text) and text[i].isspace():
+        i += 1
+    return i
+
+
+def _match_pi(text, i):
+    """End offset of a π token at i, or None."""
+    if text.startswith("π", i):
+        return i + 1
+    if text.startswith("pi", i):
+        end = i + 2
+        if end < len(text) and (text[end].isalpha() or text[end] == "_"):
+            return None
+        return end
+    return None
+
+
+def _digits_to_int(digits, position):
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("integer has too many digits", position) from None
+
+
+def _decimal_ratio(text, position):
+    """A decimal literal as an exact (numerator, denominator), or a float."""
+    mantissa, _, exponent_text = text.replace("E", "e").partition("e")
+    int_part, _, frac_part = mantissa.partition(".")
+    frac_part = frac_part.rstrip("0")
+    digits = (int_part + frac_part).lstrip("0")
+    significant = digits.rstrip("0")
+    exponent_digits = exponent_text.lstrip("+-").lstrip("0")
+    if len(significant) <= 15 and len(exponent_digits) <= 2:
+        shift = int(exponent_digits or "0")
+        if exponent_text.startswith("-"):
+            shift = -shift
+        power = shift + len(digits) - len(significant) - len(frac_part)
+        if abs(shift) <= 30 and abs(power) <= 40:
+            coefficient = int(significant or "0")
+            ratio = (coefficient * 10**power, 1) if power >= 0 else (coefficient, 10**-power)
+            if overflow_error(*ratio) is None:
+                return ratio
+    approx = float(text)
+    if not math.isfinite(approx):
+        raise ParseError(textio.OUTSIDE_FLOAT_RANGE, position)
+    return approx
+
+
+def _scan_number(text, i, allow_slash=True):
+    """Scan one number at offset i: (value, saw_pi, end)."""
+    start = i
+    sign = 1
+    if i < len(text) and text[i] in "+-":
+        sign = -1 if text[i] == "-" else 1
+        i += 1
+    pi_end = _match_pi(text, i)
+    if pi_end is not None:
+        denominator, i = 1, pi_end
+        if allow_slash and text.startswith("/", i):
+            denominator, i = _scan_posint(text, i + 1)
+        return _exact_or_error(sign, denominator, 1, start), True, i
+    m = _DECIMAL_RE.match(text, i)
+    if m is None:
+        raise ParseError("expected a number", start)
+    coefficient_text = m.group()
+    i = m.end()
+    plain_integer = coefficient_text.isdigit()
+    pi_end = _match_pi(text, i)
+    if pi_end is not None:
+        coefficient = _decimal_ratio(coefficient_text, start)
+        denominator, i = 1, pi_end
+        if allow_slash and text.startswith("/", i):
+            denominator, i = _scan_posint(text, i + 1)
+            error = overflow_error(denominator, 1)
+            if error is not None:
+                raise ParseError(str(error), start)
+        if isinstance(coefficient, float):
+            return ExactScalar.inexact(sign * coefficient * math.pi / denominator), True, i
+        numerator, scale = coefficient
+        return _exact_or_error(sign * numerator, scale * denominator, 1, start), True, i
+    if allow_slash and text.startswith("/", i):
+        after = i + 1
+        if not plain_integer:
+            raise ParseError("fraction numerator must be an integer", start)
+        numerator = sign * _digits_to_int(coefficient_text, start)
+        pi_end = _match_pi(text, after)
+        if pi_end is not None:
+            return _exact_or_error(numerator, 1, -1, start), True, pi_end
+        if text.startswith("(", after):
+            j = after + 1
+            dm = _DIGITS_RE.match(text, j)
+            denominator = 1
+            if dm is not None:
+                denominator = _digits_to_int(dm.group(), start)
+                j = dm.end()
+            pi_end = _match_pi(text, j)
+            if pi_end is None:
+                raise ParseError("expected π in parenthesized denominator", j)
+            j = pi_end
+            if not text.startswith(")", j):
+                raise ParseError("expected ')'", j)
+            return _exact_or_error(numerator, denominator, -1, start), True, j + 1
+        if after < len(text) and text[after].isdigit():
+            denominator, j = _scan_posint(text, after)
+            pi_end = _match_pi(text, j)
+            if pi_end is not None:
+                return _exact_or_error(numerator, denominator, 1, start), True, pi_end
+            return _exact_or_error(numerator, denominator, 0, start), False, j
+        raise ParseError("expected a denominator", after)
+    value = _decimal_ratio(coefficient_text, start)
+    if isinstance(value, float):
+        return ExactScalar.inexact(sign * value), False, i
+    return ExactScalar(sign * value[0], value[1]), False, i
+
+
+def _scan_posint(text, i):
+    m = _DIGITS_RE.match(text, i)
+    if m is None:
+        raise ParseError("expected a positive integer", i)
+    value = _digits_to_int(m.group(), i)
+    if value == 0:
+        raise ParseError("denominator must be positive", i)
+    return value, m.end()
+
+
+def _exact_or_error(numerator, denominator, exponent, position):
+    if denominator == 0:
+        raise ParseError("denominator must be positive", position)
+    try:
+        return ExactScalar(numerator, denominator, exponent)
+    except ExactOverflowError as exc:
+        raise ParseError(str(exc), position) from None
+
+
+def _scanned_number(text):
+    """parse_number as the character scanner read it."""
+    i = _skip_space(text, 0)
+    if i == len(text):
+        raise ParseError("empty input", i)
+    value, _, i = _scan_number(text, i)
+    if _skip_space(text, i) != len(text):
+        raise ParseError("unexpected trailing text", _skip_space(text, i))
+    return value
+
+
+def _scanned_angle(text):
+    """parse_angle as the character scanner read every literal but a sexagesimal one."""
+    m = _DMS_RE.match(text)
+    if m is not None:
+        return textio.AngleLiteral(text, textio._dms_value(m), "dms")
+    i = _skip_space(text, 0)
+    if i == len(text):
+        raise ParseError("empty input", i)
+    value, saw_pi, i = _scan_number(text, i)
+    reference, i = textio._scan_unit(text, _skip_space(text, i))
+    if _skip_space(text, i) != len(text):
+        raise ParseError("unexpected trailing text", _skip_space(text, i))
+    return textio.AngleLiteral(text, AngleValue(value, reference), "symbolic_pi" if saw_pi else "decimal")
+
+
+_NEVER = re.compile(r"(?!)")  # with this as _FLAT_RE, no line is flat
 _SPACES = ("", " ", "\u2003", "\x1c", "\t")
 
 
@@ -884,27 +1058,27 @@ _READER_TRAPS = (
     "π/" + "9" * 19 + " rad", "2π/" + "9" * 19 + " rad", "9" * 15 + "/" + "1" * 18 + "π rad",
     "9" * 15 + "π/" + "1" * 18 + " rad", "0.00000000000001π/999999999999999999 rad",
     "١٢/٣ rad", "١٢.٥ rad", "٣π rad", "1²/2 rad", "1/²2 rad", "-0 rad", "-0/5 rad", "0π/7 rad",
+    "2piα rad", "piα rad", "1/piα rad", "1/(2piα) rad", "1/2piα rad", "2pi² rad", "1/(2pi rad", "π/ rad",
+    "1e999π/0 rad", "1e999π/ rad", "1e5/2 rad", "1e5/ rad", "/2 rad", "+/2 rad", "1/(π rad", "1/( rad",
 )
 
 
 def test_one_match_reader_agrees_with_the_scanner(monkeypatch):
     rng = random.Random(18)
     texts = [_shaped_literal(rng) for _ in range(6_000)] + list(_READER_TRAPS)
-    scans = []
+    scanned = []
     scan = textio._scan_number
 
-    def counted_scan(*args, **kwargs):
-        scans.append(args)
-        return scan(*args, **kwargs)
+    def counted_scan(text, *args, **kwargs):
+        scanned.append(text)
+        return scan(text, *args, **kwargs)
 
     monkeypatch.setattr(textio, "_scan_number", counted_scan)
-    fast = [_golden_outcome(parse_angle, text) for text in texts]
-    # the comparison means something only if many literals took the one match
-    assert len(texts) - len(scans) > len(texts) // 3
-    monkeypatch.setattr(textio, "_LITERAL_RE", _NEVER)
-    scanned = [_golden_outcome(parse_angle, text) for text in texts]
-    for text, got, expected in zip(texts, fast, scanned):
-        assert got == expected, text
+    read = [_golden_outcome(parse_angle, text) for text in texts]
+    assert read == [_golden_outcome(_scanned_angle, text) for text in texts]
+    # the scanner words errors only: every literal that parses took the one match
+    assert len(scanned) > 100
+    assert all(_is_error(_golden_outcome(_scanned_angle, text)) for text in scanned)
 
 
 def _read_by_one_match(monkeypatch, text):
@@ -920,10 +1094,19 @@ def _read_by_one_match(monkeypatch, text):
 @pytest.mark.parametrize("spelling", sorted(_ALIASES))
 def test_every_unit_spelling_is_read_by_one_match(monkeypatch, spelling):
     reference = _ALIASES[spelling]
-    for number, value in (("2.5", ExactScalar(5, 2)), ("3/4", ExactScalar(3, 4)), ("3π", ExactScalar(3, 1, 1))):
+    long_pi = "12345678901234567π"  # a coefficient past 15 digits: a float times π
+    for number, value in (
+        ("2.5", ExactScalar(5, 2)), ("3/4", ExactScalar(3, 4)), ("3π", ExactScalar(3, 1, 1)),
+        ("1.5e2", ExactScalar(150)), ("-6.50405e0", ExactScalar(-650405, 100000)),
+        ("π/4", ExactScalar(1, 4, 1)), ("pi", ExactScalar(1, 1, 1)),
+        (long_pi, ExactScalar.inexact(12345678901234567 * math.pi)),
+    ):
         for space in ("", " "):
+            if number.endswith("pi") and spelling.isalpha() and not space:
+                continue  # "pirad" is a word, not π
             literal = _read_by_one_match(monkeypatch, number + space + spelling)
             assert literal.parsed == AngleValue(value, reference)
+            assert literal.form == ("symbolic_pi" if "π" in number or "pi" in number else "decimal")
 
 
 def test_sexagesimal_spellings_against_fractions():
@@ -959,16 +1142,73 @@ def test_sexagesimal_spellings_against_fractions():
      "-0." + "0" * 400 + "1234567890123456 rad", "1234567890123456 arcsec", " -" + "9" * 400 + ".5 rad"],
 )
 def test_a_long_decimal_is_read_by_one_match(monkeypatch, text):
-    scan = textio._scan_number
+    expected = _golden_outcome(_scanned_angle, text)  # the value, or the error "outside float range"
 
     def scanner(*args, **kwargs):
         raise AssertionError(f"{text!r} reached the scanner")
 
     monkeypatch.setattr(textio, "_scan_number", scanner)
-    fast = _golden_outcome(parse_angle, text)  # the value, or the error "outside float range"
-    monkeypatch.setattr(textio, "_scan_number", scan)
-    monkeypatch.setattr(textio, "_LITERAL_RE", _NEVER)
-    assert fast == _golden_outcome(parse_angle, text)
+    assert _golden_outcome(parse_angle, text) == expected
+
+
+_NUMBER_BREAKERS = ("π", "pi", "/", "(", ")", ".", "e", "E", "+", "-", "٣", "５", "²", "α", "é", "x", "_", " ", "0")
+_NUMBER_ENDS = (*sorted(_ALIASES), "d", "m", "s", "furlong", "x", "²", "/", ")", "")
+# c is a decimal, n and d digits
+_NUMBER_SHAPES = (
+    "{c}", "{c}", "{c}{pi}", "{c}{pi}/{d}", "{pi}", "{pi}/{d}", "{n}/{d}", "{n}/{d}{pi}", "{n}/{pi}", "{n}/({d}{pi})",
+    "{n}/({pi})", "{n}/", "{pi}/", "{c}/{d}", "{n}/({d}", "{n}/({d}{pi}", "{n}/(",  # the last six are malformed
+)
+
+
+def _number_text(rng):
+    """A number in one of the README's spellings, with an exponent or past a digit limit at times, or broken."""
+    n, d, f = (f"{rng.randrange(10**k):0{k}}" for k in rng.choices((1, 1, 2, 3, 6, 14, 15, 16, 18, 19, 20), k=3))
+    decimal = rng.choice((n, n, n + "." + f))
+    if rng.random() < 0.3:
+        exponent = rng.choice(("0", "2", "05", "15", "30", "31", "40", "400", "99999"))
+        decimal += rng.choice("eE") + rng.choice(("", "+", "-")) + exponent
+    body = rng.choice(_NUMBER_SHAPES).format(c=decimal, n=n, d=d, pi=rng.choice(("π", "pi")))
+    if rng.random() < 0.25:
+        at = rng.randint(0, len(body))
+        body = body[:at] + rng.choice(_NUMBER_BREAKERS) + body[at:]
+    return rng.choice(_SPACES) + rng.choice(("", "", "+", "-")) + body
+
+
+def test_the_number_grammar_agrees_with_the_character_scanner():
+    rng = random.Random(29)
+    texts = [_number_text(rng) for _ in range(100_000)]
+    traps = [*_READER_TRAPS, *_LEXER_TRAPS]
+    literals = [text + _NUMBER_ENDS[i % len(_NUMBER_ENDS)] + _SPACES[i % len(_SPACES)] for i, text in enumerate(texts)]
+    for parse, reference, inputs in (
+        (parse_number, _scanned_number, texts + traps),
+        (parse_angle, _scanned_angle, literals + traps),
+        # a quarter: the one-findall lexer's differential reads 100,000 expressions with this scanner
+        (lambda text: parse_expression(text, 3), lambda text: _lexed_expression(text, 3), texts[::4] + traps),
+    ):
+        read = [_golden_outcome(parse, text) for text in inputs]
+        scanned = [_golden_outcome(reference, text) for text in inputs]
+        assert [(t, a, b) for t, a, b in zip(inputs, read, scanned) if a != b][:3] == []
+        if parse is parse_number:  # the texts reach every branch: values, and each error
+            assert len({outcome[1].partition(":")[0] for outcome in read if _is_error(outcome)}) == 12
+            assert sum(not _is_error(outcome) for outcome in read) > 30_000
+
+
+def test_the_two_public_readers_share_one_number_grammar():
+    rng = random.Random(30)
+    values = faults = 0
+    for _ in range(20_000):
+        text = _number_text(rng)
+        number = _golden_outcome(parse_number, text)
+        if _is_error(number) and number[1] in ("unexpected trailing text", "empty input"):
+            continue  # the text around the number is at fault, which " rad" changes
+        angle = _golden_outcome(parse_angle, text + " rad")
+        if _is_error(number):
+            assert angle == number, text
+            faults += 1
+        else:
+            assert not _is_error(angle) and angle[1][0] == number, text  # a triple, or a float's hex
+            values += 1
+    assert values > 5_000 and faults > 2_000
 
 
 # ----------------------------------------------------------------------
