@@ -61,8 +61,10 @@ TRIG_FUNCTIONS = frozenset(FORWARD_KINDS + INVERSE_KINDS)
 # A declared name is one the expressions read as a name: "pi" before no letter is π there, so not declarable.
 _STATEMENT_RE = _Deferred(globals(), "_STATEMENT_RE",
                           rf"^\s*(?P<kw>angle|length)\s+(?P<name>{_NAME})\s*(?:=\s*(?P<expr>.*))?$")
-# In a flat side, any other character is a name's, a unit's or an "=" at the root: the side is not bare.
+# In a flat side with no call, any other character is a name's, a unit's or an "=" at the root: the side is not bare.
 _NAME_OR_UNIT_RE = _Deferred(globals(), "_NAME_OR_UNIT_RE", r"[^0-9.+*/\s]")
+# In a flat line, a call opening at its function's name, a call closing, or a quantity: its number and unit.
+_CALL_PART_RE = _Deferred(globals(), "_CALL_PART_RE", r"([a-z]+)\s*\(|\)|(?<!\w)(\d[\d.]*)\s*([a-z]+|°|′|″)")
 
 
 class LintFinding(Record):
@@ -112,7 +114,16 @@ def _lint_line(line: str, line_number: int, declared: dict[str, str]) -> list[Li
                 return []
             if not text.strip():
                 raise ParseError("missing right-hand side", offset)
-        if _is_flat(text):  # no call ("(" fails the match): the assignment rules are all that apply
+        if _is_flat(text):  # operands, and calls of operands: no group nests
+            if "(" in text:  # a side with a call is neither bare nor a quotient: the trig rule is all that applies
+                found, trig = [], None
+                for part in _CALL_PART_RE.finditer(line, offset):
+                    name, number, unit = part.groups()
+                    if number is None:  # a call opens or closes
+                        trig = name if name in TRIG_FUNCTIONS else None
+                    elif trig is not None:
+                        found.append(_trig_finding(trig, unit, line_number, part.start(2) + 1, excerpt))
+                return found
             if declared.get(target) != "angle":
                 return []
             if m is None:
@@ -161,15 +172,19 @@ def _rule_walk(
         elif not isinstance(node, NumberLiteral):
             bare = False
             if trig is not None and isinstance(node, QuantityLiteral):
-                message = (f"argument of {trig}() carries the unit '{node.unit_text}'; "
-                           "pass the dimensionless measure")
-                found.append(LintFinding(RULE_RAD_IN_TRIG_ARG, line_number, node.position + 1, message, excerpt))
+                found.append(_trig_finding(trig, node.unit_text, line_number, node.position + 1, excerpt))
     if not to_angle:
         return found
     left = right = ""
     if isinstance(side, BinaryOperation) and side.operator == "/":
         left, right = (node.name if isinstance(node, Identifier) else "" for node in (side.left, side.right))
     return _assignment_rule(bare, left, right, declared, line_number, side.position + 1, excerpt) or found
+
+
+def _trig_finding(trig: str, unit_text: str, line_number: int, column: int, excerpt: str) -> LintFinding:
+    """The finding of a quantity in unit_text, at column, inside a call of the trig function trig."""
+    message = f"argument of {trig}() carries the unit '{unit_text}'; pass the dimensionless measure"
+    return LintFinding(RULE_RAD_IN_TRIG_ARG, line_number, column, message, excerpt)
 
 
 def _assignment_rule(

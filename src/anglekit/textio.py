@@ -654,12 +654,14 @@ _WORD_PI = r"(?:π|pi(?![^\W\d]))"
 # before a space.  Group 2: any other number, as _scan_number reads it.  Neither: one character.
 _LINE_RE = _Deferred(globals(), "_LINE_RE", rf"(\s+|(?:{_PLAIN}(?!\d)|(?!{_WORD_PI})[A-Za-z_][A-Za-z0-9_]*|[*/=()]"
                      rf"|[°′″]|\+(?=\s))\s*)|({_DECIMAL}{_WORD_PI}?|{_WORD_PI})|.")
-# Operands (a _PLAIN with an optional unit, or a _NAME), each before + * / = and another, or the end.
-# An operand ends in one place only, so the possessive "++" of Python 3.11 matches the same texts
-# and keeps no backtracking state: a 100,000-term line needs a few kB, not 79 MB.
+# Operands (a _PLAIN with an optional unit, a _NAME, or a call of such operands joined by + * /), each
+# before + * / = and another, or the end.  An operand ends in one place only, so the possessive "++"
+# of Python 3.11 matches the same texts and keeps no backtracking state: a 100,000-term line needs a
+# few kB, not 79 MB.
+_ONCE = "+" * (sys.version_info >= (3, 11))
 _OPERAND = rf"\s*(?:{_PLAIN}(?:\s*(?:{'|'.join(sorted(_ALIASES, key=len, reverse=True))}))?|{_NAME})\s*"
-_FLAT_RE = _Deferred(
-    globals(), "_FLAT_RE", rf"(?:{_OPERAND}(?:[+*/=](?=\s*\S)|\Z))+" + "+" * (sys.version_info >= (3, 11)))
+_CALL = rf"\s*(?:{'|'.join(sorted(FUNCTION_NAMES))})\s*\((?:{_OPERAND}(?:[+*/](?=\s*[^\s)])|(?=\))))+{_ONCE}\)\s*"
+_FLAT_RE = _Deferred(globals(), "_FLAT_RE", rf"(?:(?:{_OPERAND}|{_CALL})(?:[+*/=](?=\s*\S)|\Z))+{_ONCE}")
 _KINDS = dict.fromkeys(_UNIT_SYMBOLS, "UNIT") | {  # a part's kind by its first character; None for spaces
     c: "NUMBER" if c.isdigit() else "WORD" if c.isidentifier() else c for c in map(chr, range(33, 127))}
 
@@ -795,5 +797,9 @@ def parse_expression(text: str, offset: int = 0) -> ExpressionNode:
 
 
 def _is_flat(text: str) -> bool:
-    """Whether one match finds text to be operands joined by + * / and at most one "=", which parse."""
+    """Whether one match finds text to be operands joined by + * / and at most one "=", which parse.
+
+    An operand is a plain decimal with an optional unit, a name, or a call of
+    such operands joined by + * /: no group nests, and no "=" is inside a call.
+    """
     return text.count("=") < 2 and _FLAT_RE.fullmatch(text) is not None

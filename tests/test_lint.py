@@ -1,13 +1,15 @@
 """Linter rules, declaration tracking, positions, and totality."""
 
 import random
+import re
+import sys
 import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anglekit import lint
+from anglekit import lint, textio
 from anglekit.angles import _ALIASES
 from anglekit.errors import ParseError
 from anglekit.lint import (
@@ -23,7 +25,6 @@ from anglekit.textio import (
     Identifier,
     NumberLiteral,
     QuantityLiteral,
-    _is_flat,
     parse_expression,
     walk,
 )
@@ -152,6 +153,16 @@ def _corpus_line(rng):
 
 # ----------------------------------------------------------------------
 # the one rule walk against the three rule functions it replaced
+
+# The flat pattern as it was before calls of flat operands were flat: the reference
+# parses every line with a "(", so it keeps every trig finding without a walk of its own.
+_FLAT_WITHOUT_CALLS = re.compile(
+    rf"(?:{textio._OPERAND}(?:[+*/=](?=\s*\S)|\Z))+" + "+" * (sys.version_info >= (3, 11)))
+
+
+def _is_flat(text):
+    return text.count("=") < 2 and _FLAT_WITHOUT_CALLS.fullmatch(text) is not None
+
 
 # _lint_line and its three rule functions as they were before one walk
 # decided all three rules, kept as the reference.
@@ -369,18 +380,52 @@ def test_flat_lines_assigned_to_angles_agree_with_the_reference(line):
     assert lint_text(text) == _reference_lint_text(text)
 
 
-def test_flat_lines_assigned_to_angles_build_no_tree(monkeypatch):
-    text = "length s0\nlength s1\nangle a = 1 + 2 * 3\na = s0 / s1\nangle b = 2 rad * x\nb = s0 / x"
+@pytest.mark.parametrize(
+    "line",
+    [
+        # glued and spaced units, every unit spelling, and names that hold digits or a unit's letters
+        "a0 = sin(3rad)", "a0 = cos(4°)", "y = tan(2 radian + 1 turn)", "y = cos(3 ″ * 2′ / 5 gon)",
+        "y = sin(7 arcsec + 8 arcminute + 9 arcsecond + 1 arcmin + 2 deg + 3 degree)",
+        "y = sin(x2rad)", "y = sin(rad * 2 deg)", "y = cos(a1 * 2) + 3 rad", "y = 3 rad + sin(1)",
+        # arcsin against sin, and exp, which is no trig function
+        "y = arcsin(0.5 rad) + sin(0.5 rad)", "y = arccos(2 deg * s0) / tan(s1 / 3 gon)",
+        "y = exp(2 rad) + sin(1 turn)", "angle c = exp(1)", "y = exp(3 ° * 2) * exp(4)",
+        # spaces before and inside "(", and Unicode spaces
+        "y = tan (4°+1)", "y = sin ( 3 rad )", "y\xa0=\xa0sin\u2028(\xa03\xa0rad)",
+        # a call left of "=", and a lone call
+        "sin(2 rad) = a0", "angle d = sin(3 rad) = 2", "sin(1.5 rad) = exp(3 °)", "sin(3 rad)",
+        # targets that are angles, lengths or undeclared, with sides that would be bare or quotients but for the call
+        "a0 = sin(1)", "a0 = 2 * sin(1)", "a0 = s0 / s1 + sin(1)", "a0 = sin(s0 / s1)", "a0 = s0 / sin(s1)",
+        "angle b = cos(1 arcsec)", "length s = sin(2 radian) * s0", "s0 = tan(a0 * 12 arcmin)", "q = cos(90°)",
+    ],
+    ids=repr,
+)
+def test_calls_of_flat_operands_agree_with_the_reference(monkeypatch, line):
+    text = "angle a0\nlength s0\nlength s1\n" + line
     expected = _reference_lint_text(text)
-    assert [(f.rule, f.line) for f in expected] == [(RULE_MISSING_REFERENCE_SYMBOL, 3), (RULE_MAGNITUDE_AS_QUOTIENT, 4)]
+    monkeypatch.setattr(lint, "parse_expression", None)  # every line takes the one match
+    assert lint_text(text) == expected
+
+
+def test_flat_lines_assigned_to_angles_build_no_tree(monkeypatch):
+    text = (
+        "length s0\nlength s1\nangle a = 1 + 2 * 3\na = s0 / s1\nangle b = 2 rad * x\nb = s0 / x\n"
+        "angle a = sin(1)\ny = cos(3 rad) + tan(a * 2)\nlength s = arcsin(2 ° + 1)"
+    )
+    expected = _reference_lint_text(text)
+    assert [(f.rule, f.line) for f in expected] == [
+        (RULE_MISSING_REFERENCE_SYMBOL, 3), (RULE_MAGNITUDE_AS_QUOTIENT, 4), (RULE_RAD_IN_TRIG_ARG, 8),
+        (RULE_RAD_IN_TRIG_ARG, 9),
+    ]
 
     def refuse(*args):
         raise LookupError("built a tree")
 
     monkeypatch.setattr(lint, "parse_expression", refuse)
     assert lint_text(text) == expected
-    with pytest.raises(LookupError, match="built a tree"):
-        lint_text("angle a = sin(1)")
+    for line in ("angle a = sin(sin(1))", "angle a = (1)", "angle a = sin(x = 1)"):  # a group, no call, "=" inside
+        with pytest.raises(LookupError, match="built a tree"):
+            lint_text(line)
 
 
 class TestMissingReferenceRule:
@@ -554,6 +599,16 @@ class TestDeepInputs:
         findings = [(f.rule, f.column, f.message) for f in lint_timed(line, 10.0)]
         chained = (None, line.rindex("=") + 1, "chained '=' is not allowed")
         assert findings == ([chained] if head == "y = " else [])
+
+    def test_hundred_thousand_term_call(self):
+        body = " + ".join(("7", "a1", "2.5 deg", "3°")[k % 4] for k in range(100_000))
+        line = f"y = cos({body}) + exp({body})"
+        findings = lint_timed(line, 10.0)
+        assert len(findings) == 50_000 and findings[-1].column == line.index(") + exp(") - 1
+        assert {(f.rule, f.message) for f in findings} == {
+            (RULE_RAD_IN_TRIG_ARG, f"argument of cos() carries the unit '{unit}'; pass the dimensionless measure")
+            for unit in ("deg", "°")
+        }
 
     def test_ten_thousand_factor_product_chain(self):
         factors = " ".join(f"{k % 9 + 1} {'*/'[k % 2]}" for k in range(9_999))

@@ -1392,12 +1392,16 @@ def test_most_statement_lines_take_the_one_findall(monkeypatch):
     assert [lint.lint_text(text) for text in files] == fast
 
 
-_FLAT_OPERANDS = ("x", "a1", "_b", "s2", "rad", "7", "42", "3.25", "7 deg", "7°", "3.5rad", "12 arcsec", "9′", "1 turn")
+_FLAT_OPERANDS = (
+    "x", "a1", "_b", "s2", "rad", "7", "42", "3.25", "7 deg", "7°", "3.5rad", "12 arcsec", "9′", "1 turn",
+    "sin(3 rad)", "arccos(a1 * 2)", "exp(2 °)", "tan (4°+1)",
+)
 _FLAT_OPERATORS = (" + ", " * ", " / ", "+", "*", "/", " +", "\t*\t", " = ")
 _FLAT_TRAPS = (
     "-", "+", "-3", "+5", "pi", "π", " pi", "2pi", "pi2", "1e3", "2E-3", "1" * 16, "1" * 15 + ".5", "9" * 15,
     "degx", "radian_", "3gonx", "°x", " x", "x", "2", "\x1c", "\u2028", "\u3000", "=", " = ", "5.", ".5", "$",
-    "?", ")", "1/2", " ", "",
+    "?", ")", "1/2", " ", "", "(", "sin()", "sin(3 rad", "sin(sin(3 rad))", "sin(x = 3)", "foo(3 rad)", "xsin(3)",
+    "sinx(3)", "(2 rad)", "sin(3 radx)", "sin(1e3 rad)", "sin(-3 rad)", "sin(π rad)", "sin(3 +)", "cos(x /\t)",
 )
 
 
@@ -1421,9 +1425,9 @@ def test_the_flat_recognizer_accepts_only_what_parses(monkeypatch):
     assert len(accepted) > len(texts) // 5
     for text in accepted:
         parse_expression(text)  # raises if the recognizer took text the parser refuses
-    # Python 3.10 has no possessive "++": the greedy "+" it reads instead accepts the same texts
-    pattern = textio._FLAT_RE.pattern
-    greedy = re.compile(pattern[:-1] if pattern.endswith("++") else pattern)
+    # Python 3.10 has no possessive "++": the greedy "+" it reads instead, for the operands and for
+    # the operands of a call, accepts the same texts
+    greedy = re.compile(textio._FLAT_RE.pattern.replace(")++", ")+"))
     assert [text for text in texts if text.count("=") < 2 and greedy.fullmatch(text)] == accepted
     # Whatever the recognizer does, lint finds what the trees show: the files declare
     # some names as angles and some as lengths, and flat lines assign to both.
