@@ -30,6 +30,7 @@ from .textio import (
     NumberLiteral,
     QuantityLiteral,
     _NAME,
+    _WORD_PI,
     _Deferred,
     _is_flat,
     parse_expression,
@@ -58,9 +59,9 @@ ALL_RULES = (
 
 TRIG_FUNCTIONS = frozenset(FORWARD_KINDS + INVERSE_KINDS)
 
-# A declared name is one the expressions read as a name: "pi" before no letter is π there, so not declarable.
-_STATEMENT_RE = _Deferred(globals(), "_STATEMENT_RE",
-                          rf"^\s*(?P<kw>angle|length)\s+(?P<name>{_NAME})\s*(?:=\s*(?P<expr>.*))?$")
+# A declared name is one the expressions read as a name; group pi takes a word they read as starting with π.
+_STATEMENT_RE = _Deferred(globals(), "_STATEMENT_RE", rf"^\s*(?P<kw>angle|length)\s+(?:(?P<name>{_NAME})"
+                          rf"|(?P<pi>{_WORD_PI}\w*))\s*(?:=\s*(?P<expr>.*))?$")
 # In a flat side with no call, any other character is a name's, a unit's or an "=" at the root: the side is not bare.
 _NAME_OR_UNIT_RE = _Deferred(globals(), "_NAME_OR_UNIT_RE", r"[^0-9.+*/\s]")
 # In a flat line, a call opening at its function's name, a call closing, or a quantity: its number and unit.
@@ -109,54 +110,64 @@ def _lint_line(line: str, line_number: int, declared: dict[str, str]) -> list[Li
             text, offset, target = line, 0, line.partition("=")[0].strip()
         else:
             text, offset, target = m.group("expr"), m.start("expr"), m.group("name")
+            if target is None:  # a word the expressions read as π
+                message = f"{m.group('pi')!r} cannot be declared: π, and 'pi' before a non-letter, read as the number π"
+                raise ParseError(message, m.start("pi"))
             declared[target] = m.group("kw")
             if text is None:
                 return []
             if not text.strip():
                 raise ParseError("missing right-hand side", offset)
-        if _is_flat(text):  # operands, and calls of operands: no group nests
-            if "(" in text:  # a side with a call is neither bare nor a quotient: the trig rule is all that applies
-                found, trig = [], None
+        # Two routes give the side's facts: its trig findings, whether it is bare, its name / name pair and its root.
+        if _is_flat(text):  # operands, and calls of operands: no group nests, and the text gives the facts
+            found, bare, left, right, column = [], False, "", "", 0
+            if "(" in text:  # a side with a call is neither bare nor a quotient
+                trig = None
                 for part in _CALL_PART_RE.finditer(line, offset):
                     name, number, unit = part.groups()
                     if number is None:  # a call opens or closes
                         trig = name if name in TRIG_FUNCTIONS else None
                     elif trig is not None:
                         found.append(_trig_finding(trig, unit, line_number, part.start(2) + 1, excerpt))
-                return found
-            if declared.get(target) != "angle":
-                return []
+            elif declared.get(target) == "angle":  # no other target's assignment facts are read
+                if m is None:
+                    offset = line.find("=") + 1  # 0 for a lone name, which is neither bare nor a quotient
+                side = line[offset:]
+                # The side's root: its last "+", else its last "*" or "/", else its operand, which starts first.
+                at = side.rfind("+")
+                at = at if at >= 0 else max(side.rfind("*"), side.rfind("/"), len(side) - len(side.lstrip()))
+                left, _, right = side.partition("/")
+                left, right = left.strip(), right.strip()
+                bare = _NAME_OR_UNIT_RE.search(side) is None
+                column = offset + at + 1
+        else:
+            side = parse_expression(text, offset)
             if m is None:
-                offset = line.find("=") + 1  # 0 for a lone name, which is neither bare nor a quotient
-            side = line[offset:]
-            # The side's root: its last "+", else its last "*" or "/", else its operand, which starts first.
-            at = side.rfind("+")
-            at = at if at >= 0 else max(side.rfind("*"), side.rfind("/"), len(side) - len(side.lstrip()))
-            left, _, right = side.partition("/")
-            bare = _NAME_OR_UNIT_RE.search(side) is None
-            column = offset + at + 1
-            return _assignment_rule(bare, left.strip(), right.strip(), declared, line_number, column, excerpt)
-        side = parse_expression(text, offset)
+                if isinstance(side, BinaryOperation) and side.operator == "=" and isinstance(side.left, Identifier):
+                    target, side = side.left.name, side.right  # a lone name holds no trig call
+                else:
+                    target = None
+            found, bare, left, right, column = _rule_walk(side, line_number, excerpt)
     except ParseError as exc:
         return [LintFinding(None, line_number, exc.position + 1, exc.message, excerpt)]
-    if m is None:
-        if isinstance(side, BinaryOperation) and side.operator == "=" and isinstance(side.left, Identifier):
-            target, side = side.left.name, side.right  # a lone name holds no trig call
-        else:
-            target = None
-    to_angle = declared.get(target) == "angle"
-    if not to_angle and "(" not in line:  # a FunctionApplication is a word and a "("
-        return []
-    return _rule_walk(side, to_angle, declared, line_number, excerpt)
+    # The one decision of both assignment rules.  A bare side or a quotient of names holds no call,
+    # so an assignment finding comes with no trig finding.
+    if declared.get(target) != "angle":
+        return found
+    if bare:
+        message = "angle assignment from bare numbers; attach a reference symbol such as rad or °"
+        return [LintFinding(RULE_MISSING_REFERENCE_SYMBOL, line_number, column, message, excerpt)]
+    if declared.get(left) == declared.get(right) == "length":
+        message = f"'{left}/{right}' is a ratio of lengths, which is a dimensionless measure, not an angle value"
+        return [LintFinding(RULE_MAGNITUDE_AS_QUOTIENT, line_number, column, message, excerpt)]
+    return found
 
 
-def _rule_walk(
-    side: ExpressionNode, to_angle: bool, declared: dict[str, str], line_number: int, excerpt: str
-) -> list[LintFinding]:
-    """Every rule's findings on a line's expression, in one preorder walk.
+def _rule_walk(side: ExpressionNode, line_number: int, excerpt: str) -> tuple[list, bool, str, str, int]:
+    """The facts of a line's expression tree that _lint_line decides on, in one preorder walk.
 
-    Preorder meets quantities in text order, and both assignment rules
-    need a side with no quantity, so the findings come out by column.
+    Preorder meets quantities in text order, so the trig findings come
+    out by column.
     """
     found = []
     bare = True  # every node so far a number, or + * / of two
@@ -173,28 +184,13 @@ def _rule_walk(
             bare = False
             if trig is not None and isinstance(node, QuantityLiteral):
                 found.append(_trig_finding(trig, node.unit_text, line_number, node.position + 1, excerpt))
-    if not to_angle:
-        return found
     left = right = ""
     if isinstance(side, BinaryOperation) and side.operator == "/":
         left, right = (node.name if isinstance(node, Identifier) else "" for node in (side.left, side.right))
-    return _assignment_rule(bare, left, right, declared, line_number, side.position + 1, excerpt) or found
+    return found, bare, left, right, side.position + 1
 
 
 def _trig_finding(trig: str, unit_text: str, line_number: int, column: int, excerpt: str) -> LintFinding:
     """The finding of a quantity in unit_text, at column, inside a call of the trig function trig."""
     message = f"argument of {trig}() carries the unit '{unit_text}'; pass the dimensionless measure"
     return LintFinding(RULE_RAD_IN_TRIG_ARG, line_number, column, message, excerpt)
-
-
-def _assignment_rule(
-    bare: bool, left: str, right: str, declared: dict[str, str], line_number: int, column: int, excerpt: str
-) -> list[LintFinding]:
-    """The finding an angle's side draws at its root: bare numbers, or the quotient of lengths left/right."""
-    if bare:
-        message = "angle assignment from bare numbers; attach a reference symbol such as rad or °"
-        return [LintFinding(RULE_MISSING_REFERENCE_SYMBOL, line_number, column, message, excerpt)]
-    if declared.get(left) == declared.get(right) == "length":
-        message = f"'{left}/{right}' is a ratio of lengths, which is a dimensionless measure, not an angle value"
-        return [LintFinding(RULE_MAGNITUDE_AS_QUOTIENT, line_number, column, message, excerpt)]
-    return []

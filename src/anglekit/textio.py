@@ -25,10 +25,10 @@ inexact floats.  Formatting an exact value and parsing the result always
 recovers the identical value.
 
 The expression language used by the linter shares the number syntax but
-treats "/" strictly as an operator; it adds identifiers, "+", "*", "=",
-parentheses, function application (sin, cos, tan, arcsin, arccos, exp),
-and quantities (a number immediately followed by a unit).  A sign opens
-a number only at the start or after + * / = (; "-" is no operator.
+treats "/" strictly as an operator; it adds identifiers, "+", "*", "="
+(once, outside any group), parentheses, function application (sin, cos,
+tan, arcsin, arccos, exp) and quantities (a number followed by a unit).
+A sign opens a number only at the start or after + * / = (; "-" is no operator.
 """
 
 from __future__ import annotations
@@ -670,10 +670,10 @@ def _parse_tokens(tokens: list[tuple]) -> ExpressionNode:
     """The tree of one token list: precedence climbing in one loop.
 
     Each open group is a frame on an explicit list: the call word that
-    opened it, if any, and the enclosing `=` left side, sum and product,
-    each with its operator's position.  An operand folds into the
-    product, "+" closes the product into the sum, "=" closes the sum, and
-    ")" or END closes the frame.
+    opened it, if any, and the enclosing sum and product, each with its
+    operator's position.  An operand folds into the product, "+" closes
+    the product into the sum, a top-level "=" closes the sum into the left
+    side, and ")" or END closes the frame; "=" inside a group is refused.
     """
     frames: list[tuple] = []
     left = total = product = op = None
@@ -704,10 +704,10 @@ def _parse_tokens(tokens: list[tuple]) -> ExpressionNode:
                 if text not in FUNCTION_NAMES:
                     raise ParseError(f"unknown function '{text}'", position)
                 i += 1
-            frames.append((kind, text, position, left, eq_at, total, plus_at, product, op, op_at))
+            frames.append((kind, text, position, total, plus_at, product, op, op_at))
             if len(frames) > _MAX_NESTING:  # reported at the opener: the word of a call
                 raise ParseError("expression nests too deeply", position)
-            left = total = op = None
+            total = op = None
             continue
         elif kind == "UNIT":
             raise ParseError("unit symbol needs a number before it", position)
@@ -739,23 +739,25 @@ def _parse_tokens(tokens: list[tuple]) -> ExpressionNode:
                 break
             total = None
             if kind == "=":
+                if frames:
+                    raise ParseError("'=' is allowed only at the top level", position)
                 if left is not None:
                     raise ParseError("chained '=' is not allowed", position)
                 left, eq_at = node, position
                 break
-            if left is not None:
-                node = BinaryOperation(eq_at, "=", left, node)
             if kind == "END" and not frames:
-                return node
+                return node if left is None else BinaryOperation(eq_at, "=", left, node)
             if kind != ")" or not frames:
                 raise ParseError("expected ')'" if frames else "unexpected trailing text", position)
-            opener, name, at, left, eq_at, total, plus_at, product, op, op_at = frames.pop()
+            opener, name, at, total, plus_at, product, op, op_at = frames.pop()
             if opener == "WORD":
                 node = FunctionApplication(at, name, node)
 
 
 def parse_expression(text: str, offset: int = 0) -> ExpressionNode:
     """Parse one expression; positions are absolute (offset + local).
+
+    "=" is allowed only at the top level, once: "(a = 2)" is a ParseError.
 
     _scan_number reads every number but a plain decimal, so its errors
     and positions are the literal reader's.

@@ -1,5 +1,6 @@
 """Linter rules, declaration tracking, positions, and totality."""
 
+import hashlib
 import random
 import re
 import sys
@@ -171,6 +172,9 @@ def _reference_lint_line(line, line_number, declared):
     target = right = full = None
     try:
         m = lint._STATEMENT_RE.match(line)
+        if m is not None and m.group("pi") is not None:  # a word the expressions read as π declares nothing
+            message = f"{m.group('pi')!r} cannot be declared: π, and 'pi' before a non-letter, read as the number π"
+            raise ParseError(message, m.start("pi"))
         if m is not None:
             declared[m.group("name")] = m.group("kw")
             expr_text = m.group("expr")
@@ -428,6 +432,112 @@ def test_flat_lines_assigned_to_angles_build_no_tree(monkeypatch):
             lint_text(line)
 
 
+@pytest.mark.parametrize(
+    "line, flat, expected",
+    [
+        # bare sides, at the root: the last "+", else the last "*" or "/", else the operand
+        ("a0 = 1 + 2 * 3", True, [(RULE_MISSING_REFERENCE_SYMBOL, 8)]),
+        ("a0 = (1 + 2) * 3", False, [(RULE_MISSING_REFERENCE_SYMBOL, 14)]),
+        ("angle b = 2 * 3 / 4", True, [(RULE_MISSING_REFERENCE_SYMBOL, 17)]),
+        ("angle b = 2 * pi / 4", False, [(RULE_MISSING_REFERENCE_SYMBOL, 18)]),
+        ("a0 =  7", True, [(RULE_MISSING_REFERENCE_SYMBOL, 7)]),
+        ("a0 = (7)", False, [(RULE_MISSING_REFERENCE_SYMBOL, 7)]),
+        # quotients of two lengths, at the "/", and near misses
+        ("a0 = s0 / s1", True, [(RULE_MAGNITUDE_AS_QUOTIENT, 9)]),
+        ("a0 = (s0) / s1", False, [(RULE_MAGNITUDE_AS_QUOTIENT, 11)]),
+        ("a0 = s0 / x", True, []),
+        ("a0 = (s0) / x", False, []),
+        ("a0 = s0 * s1", True, []),
+        ("a0 = (s0 * s1)", False, []),
+        ("a0 = 3 rad", True, []),
+        ("a0 = (3 rad)", False, []),
+        # targets that are not angles
+        ("s0 = 1 + 2", True, []),
+        ("s0 = (1 + 2)", False, []),
+        ("q = s0 / s1", True, []),
+        ("q = (s0 / s1)", False, []),
+    ],
+    ids=repr,
+)
+def test_one_decision_reads_the_facts_of_either_route(monkeypatch, line, flat, expected):
+    walked, walk = [], lint._rule_walk
+    monkeypatch.setattr(lint, "_rule_walk", lambda *args: walked.append(args) or walk(*args))
+    findings = lint_text("angle a0\nlength s0\nlength s1\n" + line)
+    assert [(f.rule, f.line, f.column) for f in findings] == [(rule, 4, column) for rule, column in expected]
+    assert len(walked) == (0 if flat else 1)
+
+
+def _call_and_name_file(rng):
+    """Declarations and assignments whose sides nest calls, groups and names spelled like
+    units, functions, keywords and π; "=" appears at the top level only."""
+    names = ("a0", "b", "s0", "s1", "x", "pi_x", "pix", "rad", "deg", "e", "sin", "angle")
+    units = ("rad", "deg", "°", "′", "″", "gon", "turn", "arcmin", "arcsec", "radian", "degree")
+    numbers = ("2", "0.5", "12.25", "pi", "3π/4", "1e3", "7", "123456789012345", "1234567890123456", ".5", "π")
+
+    def side(depth=0):
+        roll = rng.random()
+        if depth >= 3 or roll < 0.3:
+            leaf = rng.random()
+            if leaf < 0.3:
+                return rng.choice(numbers)
+            if leaf < 0.6:
+                return f"{rng.choice(('2', '0.5', '90'))}{rng.choice(('', ' '))}{rng.choice(units)}"
+            return rng.choice(names)
+        if roll < 0.6:
+            function = rng.choice(("sin", "cos", "tan", "arcsin", "arccos", "exp", "foo"))
+            return f"{function}{rng.choice(('', '', ' '))}({side(depth + 1)})"
+        if roll < 0.7:
+            return f"({side(depth + 1)})"
+        return f"{side(depth + 1)} {rng.choice('+*//')} {side(depth + 1)}"
+
+    lines = []
+    for _ in range(rng.randint(1, 12)):
+        roll = rng.random()
+        if roll < 0.15:
+            lines.append(f"{rng.choice(('angle', 'length'))} {rng.choice(names)}")
+        elif roll < 0.45:
+            lines.append(f"{rng.choice(('angle', 'length'))} {rng.choice(names)} = {side()}")
+        elif roll < 0.55:
+            lines.append(side())
+        elif roll < 0.6:
+            lines.append(f"{side()} = {side()}")
+        else:
+            lines.append(f"{rng.choice(names)} = {side()}")
+    return "\n".join(lines)
+
+
+def _equals_inside_a_group(text):
+    for line in text.split("\n"):
+        depth = 0
+        for c in line:
+            depth += (c == "(") - (c == ")")
+            if c == "=" and depth > 0:
+                return True
+    return False
+
+
+# sha256 of every lint_text finding, field for field, on a corpus built here and not
+# from anglebench, so a benchmark change cannot move it.  A faster or simpler
+# linter must leave it unchanged; change it only with a deliberate change of findings.
+_LINT_DIGEST = "63616c4b53793bebd8415e155965d4deded32f5b96e8a3c6b5c617272747a456"
+
+
+def test_findings_match_the_pinned_digest():
+    texts = ["\n".join(lines) for lines in _corpus_files()]
+    rng = random.Random(31)
+    texts += [_statement_file(rng) for _ in range(150)]
+    texts += [_call_and_name_file(rng) for _ in range(1_500)]
+    assert not any(_equals_inside_a_group(text) for text in texts)
+    digest, rules = hashlib.sha256(), set()
+    for text in texts:
+        findings = lint_text(text)
+        rules.update(f.rule for f in findings)
+        outcome = [(f.rule, f.line, f.column, f.message, f.excerpt) for f in findings]
+        digest.update(repr(outcome).encode("utf-8") + b"\n")
+    assert rules == {None, RULE_RAD_IN_TRIG_ARG, RULE_MISSING_REFERENCE_SYMBOL, RULE_MAGNITUDE_AS_QUOTIENT}
+    assert digest.hexdigest() == _LINT_DIGEST
+
+
 class TestMissingReferenceRule:
     def test_bare_pi(self):
         findings = lint_text("angle a = pi")
@@ -517,6 +627,21 @@ class TestStatementsAndSyntax:
     def test_a_name_the_expressions_read_as_pi_is_not_declared(self, declaration, findings):
         name = declaration.split()[1]
         assert [(f.rule, f.line, f.column) for f in lint_text(f"{declaration}\n{name} = 2 + 3")] == findings
+
+    @pytest.mark.parametrize(
+        "line, column, message",
+        [
+            # "=" inside a group, where the flat match refuses it and the parser must too
+            ("y = (a = 2) + 1", 8, "'=' is allowed only at the top level"),
+            ("angle a = (b = 2)", 14, "'=' is allowed only at the top level"),
+            ("y = sin(x = 3 rad)", 11, "'=' is allowed only at the top level"),
+            # a declared word the expressions read as π, worded at the name
+            ("angle pi2 = 3 rad", 7, "'pi2' cannot be declared: π, and 'pi' before a non-letter, read as the number π"),
+            ("length π", 8, "'π' cannot be declared: π, and 'pi' before a non-letter, read as the number π"),
+        ],
+    )
+    def test_syntax_findings_word_their_cause(self, line, column, message):
+        assert [(f.rule, f.line, f.column, f.message) for f in lint_text(line)] == [(None, 1, column, message)]
 
     def test_missing_rhs(self):
         findings = lint_text("angle a = ")
