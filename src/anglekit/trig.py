@@ -1,13 +1,15 @@
 """Trigonometric function families parameterized by a full-circle period.
 
 A periodized sine with period p maps x to sin(2π·x/p): the familiar
-functions for p = 2π, degree-flavored ones for p = 360, and so on.  The
-argument is reduced modulo p in integer arithmetic before any float trig
-runs: exactly for a rational period, and for a π period with as many
-bits of π as the size of x demands, so the reduced angle is correctly
-rounded for every finite float.  That keeps periodicity exact (x and
-x + 10⁶·p produce the identical float) and keeps accuracy flat across
-the whole argument range instead of decaying with |x|.  The latest
+functions for p = 2π, degree-flavored ones for p = 360, and so on.  For
+p = 2π the reduced angle is |x| itself, and libm's reduction inside
+`math.sin`, `math.cos` and `math.tan` keeps the result within 1 ulp.  Any
+other period reduces the argument modulo p in integer arithmetic before
+any float trig runs: exactly for a rational period, and for a π period
+with as many bits of π as the size of x demands, so the reduced angle is
+correctly rounded for every finite float.  That keeps periodicity exact
+(x and x + 10⁶·p produce the identical float) and keeps accuracy flat
+across the whole argument range instead of decaying with |x|.  The latest
 reduction is kept, so sin, cos and tan at one x and period object reduce once.
 """
 
@@ -41,8 +43,8 @@ FORWARD_KINDS = ("sin", "cos", "tan")
 INVERSE_KINDS = ("arcsin", "arccos")
 _HALF_PI = math.pi / 2.0
 _GUARD_BITS = 128  # bits of π kept beyond the integer part of x/p
-# (|x|, period, θ) of the latest reduction, replaced whole so threads see
-# one entry or the other; holding the period keeps its identity unique.
+# (|x|, period, θ) of the latest reduction, θ = |x| for period 2π, replaced whole
+# so threads see one entry or the other; holding the period keeps its identity unique.
 _last_reduction = (None, None, 0.0)
 
 
@@ -137,7 +139,10 @@ def eval_periodized(f: PeriodizedFunction, x: float) -> float:
     period, size = f.period, abs(x)
     last_size, last_period, theta = _last_reduction
     if last_size != size or last_period is not period:
-        theta = _scaled_argument(size, period)
+        if period.pi_exponent == 1 and period.numerator == 2 and period.denominator == 1:
+            theta = size  # period 2π: libm's own reduction of |x| is within 1 ulp
+        else:
+            theta = _scaled_argument(size, period)
         _last_reduction = (size, period, theta)
     if f.kind == "cos":
         return math.cos(theta)

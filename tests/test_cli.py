@@ -5,7 +5,9 @@ import hashlib
 import io
 import math
 import random
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -529,6 +531,28 @@ GOLDEN = [
 def test_golden_transcripts(run_cli, argv, expected):
     code, out, err = run_cli(*argv)
     assert (code, out, err) == (0, expected, "")
+
+
+def _quick_tour():
+    """(argv, right-hand side) of each `anglekit … -> …` line of the README's CLI tour."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [line.partition("->") for line in tour.splitlines() if line.startswith("anglekit ")]
+    return [(shlex.split(command)[1:], shown.strip()) for command, _, shown in lines]
+
+
+# `table` and `lint` show a description of their output, not the output.
+QUICK_TOUR = [(argv, shown) for argv, shown in _quick_tour() if argv[0] not in ("table", "lint")]
+
+
+@pytest.mark.parametrize("argv,shown", QUICK_TOUR, ids=[" ".join(a) for a, _ in QUICK_TOUR])
+def test_readme_quick_tour(run_cli, argv, shown):
+    code, out, _ = run_cli(*argv)
+    assert (code, out.splitlines()[0]) == (0, shown)
+
+
+def test_the_quick_tour_is_read_whole():
+    assert len(QUICK_TOUR) >= 14
 
 
 ERROR_GOLDEN = [

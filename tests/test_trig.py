@@ -311,7 +311,7 @@ class TestReduction:
             assert pi_bits(bits) == expected
 
     def test_huge_radian_arguments(self):
-        assert SIN_2PI(1e100) == -0.38063773100502835
+        assert SIN_2PI(1e100) == -0.3806377310050287  # mpmath's nearest float
         sin_two_thirds_pi = PeriodizedFunction("sin", ExactScalar(2, 3, 1))
         assert sin_two_thirds_pi(1e300) == -0.26522005672091986
 
@@ -442,8 +442,9 @@ class TestLatestReduction:
         PeriodizedFunction("sin", ExactScalar(360))(91.0)  # another period object
         assert len(calls) == 5
         assert PeriodizedFunction("sin", ExactScalar(2))(0.5) == 1.0
+        assert len(calls) == 6
         assert PeriodizedFunction("sin", ExactScalar(2, 1, 1))(0.5) == math.sin(0.5)
-        assert len(calls) == 7
+        assert len(calls) == 6  # period 2π leaves the reduction to libm
 
 
 def _negated(f, x):
@@ -514,3 +515,50 @@ class TestSymmetryAndPoles:
             assert checked >= 450, p
         # The former 1e-10 window on θ raised here.
         assert TAN_360(90.000000001) == -57295719343.77307
+
+
+def _near_odd_quarters(ks):
+    """Each float within 3 ulp of ±(2k+1)·π/2, for each k."""
+    xs = []
+    for k in ks:
+        with mpmath.workprec(128):
+            x = float((2 * k + 1) * mpmath.pi / 2)
+        for _ in range(3):
+            x = math.nextafter(x, 0.0)
+        for _ in range(7):
+            xs += [x, -x]
+            x = math.nextafter(x, math.inf)
+    return xs
+
+
+class TestRadianPeriod:
+    def test_libm_reduces_within_one_ulp_and_tan_raises_only_at_two_floats(self):
+        # Period 2π gives |x| to math.sin, cos and tan, whose own reduction
+        # is within 1 ulp for every finite float, under the sign rule.
+        rng = random.Random(3201)
+        xs = [_log_uniform(rng) for _ in range(1_000)]
+        xs += _near_odd_quarters([0, 1, 3] + [rng.randint(2, 10**5) for _ in range(140)])
+        functions = [PeriodizedFunction(kind, TWO_PI) for kind in FORWARD_KINDS]
+        raised = set()
+        for x in xs:
+            size = abs(x)
+            with mpmath.workprec(128):  # mpmath widens its reduction with |x|
+                true = [float(g(mpmath.mpf(size))) for g in (mpmath.sin, mpmath.cos, mpmath.tan)]
+            for f, libm, expected in zip(functions, (math.sin, math.cos, math.tan), true):
+                outcome = _outcome(f, x)
+                if outcome == "PoleError":
+                    raised.add(x)
+                    continue
+                value = libm(size)
+                assert abs(value - expected) <= math.ulp(expected), (f.kind, x)
+                if x < 0 and f.kind != "cos":
+                    value = 0.0 - value
+                assert outcome == value.hex(), (f.kind, x)
+        quarters = (math.pi / 2, 3.0 * (math.pi / 2))
+        assert raised == {sign * q for q in quarters for sign in (1, -1)}
+
+    def test_tan_is_finite_a_few_ulp_from_seven_quarters_of_pi(self):
+        # Reduced in integers, this x rounds to θ = 3·(π/2): it is the first
+        # of 16 floats within 3 ulp of (2k+1)·π/2, 2 ≤ k ≤ 2·10⁵, whose θ
+        # lands on a pole float.  x is no pole; mpmath gives 2333034193313624.25.
+        assert PeriodizedFunction("tan", TWO_PI)(10.995574287564276) == 2333034193313624.0
